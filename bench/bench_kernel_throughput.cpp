@@ -1,5 +1,5 @@
 // Kernel-throughput gate (DESIGN.md §11): pins the three numbers the
-// arena + SoA work is accountable for — scheduler events/sec,
+// kernel and SoA work is accountable for — scheduler events/sec,
 // trace-records-replayed/sec, and bytes-allocated-per-load — into
 // BENCH_kernel.json, and doubles as the comparator ci.sh uses to fail the
 // build when any of them regresses more than 10% against the checked-in
@@ -12,20 +12,21 @@
 // array-of-structs replica of the pre-SoA trace (same loops, same
 // arithmetic, 32-byte record stride instead of per-field columns), so the
 // reported speedup is against the actual former layout, not a strawman.
-// Before any timing, the bench proves the headline invariant: a full
-// experiment run with the arena on is bitwise identical to the same run
-// with PARCEL_ARENA off.
+// Bytes per load are counted by the global operator-new hook linked into
+// this binary (alloc_hook.cpp).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_hook.hpp"
 #include "bench/common.hpp"
-#include "core/arena.hpp"
 #include "core/experiment.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/packet_trace.hpp"
@@ -49,9 +50,6 @@ double scheduler_events_per_sec(int chain_events, int reps) {
   auto start = Clock::now();
   std::uint64_t total = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    // Per-run arena, exactly as ExperimentRunner::run installs one.
-    core::Arena arena;
-    core::ArenaScope scope(arena);
     sim::Scheduler sched;
     int remaining = chain_events;
     std::function<void()> tick = [&] {
@@ -157,65 +155,36 @@ ReplayResult replay_throughput(std::size_t records, int reps) {
   return ReplayResult{replayed / soa_sec, replayed / aos_sec};
 }
 
-// ---- Bytes-allocated-per-load + arena on/off byte-identity ---------------
+// ---- Bytes-allocated-per-load ---------------------------------------------
 
 struct LoadStats {
-  std::size_t arena_bytes = 0;
-  std::size_t arena_allocations = 0;
+  std::uint64_t bytes_allocated = 0;
   /// Simulated radio joules per scheduler event over the measured loads —
   /// a deterministic energy-accounting drift alarm, not a wall-clock
-  /// number (ISSUE 7 satellite).
+  /// number.
   double sim_joules_per_event = 0;
 };
 
-/// Run DIR and PARCEL(IND) loads of one page twice — arena on, arena off —
-/// assert bitwise-identical outcomes, and return the arena-on stats.
+/// Global operator-new bytes per warm load, averaged over one DIR and one
+/// PARCEL(IND) load of `page`. A first, uncounted pair warms the parse
+/// cache and lazy singletons so the count covers the load itself.
 LoadStats measure_load_allocation(const web::WebPage& page) {
   core::RunConfig cfg = bench::replay_run_config(42);
-  const bool prev = core::arena_enabled();
-  auto run_pair = [&] {
-    std::vector<core::RunResult> out;
-    out.push_back(core::ExperimentRunner::run(core::Scheme::kDir, page, cfg));
-    out.push_back(
-        core::ExperimentRunner::run(core::Scheme::kParcelInd, page, cfg));
-    return out;
-  };
-  core::set_arena_enabled(true);
-  std::vector<core::RunResult> on = run_pair();
-  core::set_arena_enabled(false);
-  std::vector<core::RunResult> off = run_pair();
-  core::set_arena_enabled(prev);
+  const core::Scheme schemes[] = {core::Scheme::kDir,
+                                  core::Scheme::kParcelInd};
+  for (core::Scheme s : schemes) core::ExperimentRunner::run(s, page, cfg);
 
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    bool same = on[i].olt.sec() == off[i].olt.sec() &&
-                on[i].tlt.sec() == off[i].tlt.sec() &&
-                on[i].radio.total.j() == off[i].radio.total.j() &&
-                on[i].trace.serialize() == off[i].trace.serialize();
-    if (!same) {
-      std::fprintf(stderr,
-                   "FAIL: arena on/off results differ for scheme %s — the "
-                   "arena changed simulation behaviour\n",
-                   core::to_string(on[i].scheme).c_str());
-      std::exit(1);
-    }
-    if (on[i].arena_bytes == 0 || off[i].arena_bytes != 0) {
-      std::fprintf(stderr,
-                   "FAIL: arena accounting wrong (on=%zu bytes, off=%zu)\n",
-                   on[i].arena_bytes, off[i].arena_bytes);
-      std::exit(1);
-    }
-  }
   LoadStats stats;
   double joules = 0;
   std::uint64_t events = 0;
-  for (const core::RunResult& r : on) {
-    stats.arena_bytes += r.arena_bytes;
-    stats.arena_allocations += r.arena_allocations;
+  for (core::Scheme s : schemes) {
+    const std::uint64_t before = bench::alloc_totals().bytes;
+    core::RunResult r = core::ExperimentRunner::run(s, page, cfg);
+    stats.bytes_allocated += bench::alloc_totals().bytes - before;
     joules += r.radio.total.j();
     events += r.events_executed;
   }
-  stats.arena_bytes /= on.size();
-  stats.arena_allocations /= on.size();
+  stats.bytes_allocated /= std::size(schemes);
   if (events == 0) {
     std::fprintf(stderr, "FAIL: runs executed zero scheduler events\n");
     std::exit(1);
@@ -331,11 +300,9 @@ int main(int argc, char** argv) {
   spec.seed = 77;
   web::WebPage page = web::PageGenerator::generate(spec);
 
-  std::printf("arena on/off byte-identity: ");
   LoadStats loads = measure_load_allocation(page);
-  std::printf("identical\n");
-  std::printf("bytes allocated per load (arena): %zu in %zu allocations\n",
-              loads.arena_bytes, loads.arena_allocations);
+  std::printf("bytes allocated per load (operator new): %llu\n",
+              static_cast<unsigned long long>(loads.bytes_allocated));
   std::printf("simulated energy per event: %.3g J/event\n",
               loads.sim_joules_per_event);
 
@@ -365,13 +332,10 @@ int main(int argc, char** argv) {
                replay.aos_records_per_sec);
   std::fprintf(json, "  \"trace_replay_speedup_vs_aos\": %.3f,\n",
                replay.soa_records_per_sec / replay.aos_records_per_sec);
-  std::fprintf(json, "  \"bytes_allocated_per_load\": %zu,\n",
-               loads.arena_bytes);
-  std::fprintf(json, "  \"arena_allocations_per_load\": %zu,\n",
-               loads.arena_allocations);
-  std::fprintf(json, "  \"sim_joules_per_event\": %.9g,\n",
+  std::fprintf(json, "  \"bytes_allocated_per_load\": %llu,\n",
+               static_cast<unsigned long long>(loads.bytes_allocated));
+  std::fprintf(json, "  \"sim_joules_per_event\": %.9g\n",
                loads.sim_joules_per_event);
-  std::fprintf(json, "  \"arena_identical_results\": true\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_kernel.json\n");

@@ -1,68 +1,27 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: the
 // parsers the proxy runs per page, the MHTML codec on the push path, the
-// event kernel, and the trace energy analyzer. Also hosts two allocation
-// regressions that run before the benchmarks under a counting
-// operator-new hook: the scheduler kernel must not allocate per event,
-// and a full page load with the arena on must divert a healthy share of
-// its heap allocations into the bump allocator (DESIGN.md §11).
+// event kernel, and the trace energy analyzer. Also hosts an allocation
+// regression that runs before the benchmarks under the counting
+// operator-new hook (alloc_hook.cpp): the scheduler kernel must not
+// allocate per event.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory_resource>
-#include <new>
-#include <tuple>
+#include <functional>
+#include <string>
 
-#include "bench/common.hpp"
-#include "core/arena.hpp"
-#include "core/experiment.hpp"
+#include "bench/alloc_hook.hpp"
 #include "lte/energy.hpp"
 #include "sim/scheduler.hpp"
+#include "trace/packet_trace.hpp"
+#include "util/rng.hpp"
 #include "web/css.hpp"
 #include "web/generator.hpp"
 #include "web/html.hpp"
 #include "web/js.hpp"
 #include "web/mhtml.hpp"
-
-// Counting allocation hook (this binary only): lets the regression below
-// measure exactly how many heap allocations the scheduler hot path makes.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-}  // namespace
-
-// noinline on every replaced operator: once GCC inlines a body it sees the
-// raw std::malloc/std::free inside, pairs it against the *other* side of a
-// new/delete pair at some call site, and emits a bogus
-// -Wmismatched-new-delete.  Opaque calls keep the pairing at the operator
-// level, where it is correct by construction (all six route to malloc/free).
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p,
-                                               std::size_t) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete[](void* p,
-                                                 std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -180,14 +139,15 @@ BENCHMARK(BM_SchedulerScheduleCancel);
 
 // Regression guard for the kernel fast path: a million fire-and-forget
 // events must not allocate per event (handles are lazy; entries live in
-// the heap vector, whose regrowth goes through pmr and is not visible to
-// this hook). The budget covers small constant noise only — any per-event
-// std::function or shared_ptr allocation blows it by four orders.
+// the heap vector, whose geometric regrowth costs ~20 allocations for a
+// million entries and is counted here). The budget covers that plus small
+// constant noise only — any per-event std::function or shared_ptr
+// allocation blows it by four orders.
 void scheduler_allocation_regression() {
   constexpr std::size_t kEvents = 1'000'000;
   constexpr std::uint64_t kAllocBudget = 64;
   sim::Scheduler sched;
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = bench::alloc_totals().allocations;
   for (std::size_t i = 0; i < kEvents; ++i) {
     sched.schedule_after(util::Duration::micros(1), [] {});
   }
@@ -197,7 +157,7 @@ void scheduler_allocation_regression() {
     std::exit(1);
   }
   sched.run();
-  const std::uint64_t allocs = g_allocations.load() - before;
+  const std::uint64_t allocs = bench::alloc_totals().allocations - before;
   if (sched.events_executed() != kEvents) {
     std::fprintf(stderr, "scheduler regression: executed %llu of %zu\n",
                  static_cast<unsigned long long>(sched.events_executed()),
@@ -216,97 +176,6 @@ void scheduler_allocation_regression() {
   std::printf("scheduler alloc regression OK: %llu allocations for %zu "
               "schedule+fire events\n",
               static_cast<unsigned long long>(allocs), kEvents);
-}
-
-// Counting pmr resource: libstdc++'s new_delete_resource allocates
-// through a path the replaced operator new above cannot interpose (its
-// calls bind inside the library), so pmr traffic is invisible to the
-// malloc hook. Installing this as the process default resource makes
-// every container that falls back to the default resource — i.e. every
-// run_resource() user when the arena is off — observable.
-class CountingResource final : public std::pmr::memory_resource {
- public:
-  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
-  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-
- private:
-  void* do_allocate(std::size_t bytes, std::size_t align) override {
-    ++allocations_;
-    bytes_ += bytes;
-    return std::pmr::new_delete_resource()->allocate(bytes, align);
-  }
-  void do_deallocate(void* p, std::size_t bytes,
-                     std::size_t align) noexcept override {
-    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
-  }
-  [[nodiscard]] bool do_is_equal(
-      const std::pmr::memory_resource& other) const noexcept override {
-    return this == &other;
-  }
-
-  std::uint64_t allocations_ = 0;
-  std::uint64_t bytes_ = 0;
-};
-
-// Regression guard for per-run arena routing: the same page load with the
-// arena enabled must divert materially more container allocations into
-// the bump allocator than reach the default resource with it disabled —
-// the scheduler heap, trace columns and browser bookkeeping all bump
-// instead of hitting the heap. If the saving collapses, some hot
-// container silently stopped drawing from run_resource().
-void load_allocation_regression() {
-  constexpr std::uint64_t kMinSavedAllocs = 100;
-  core::RunConfig cfg = bench::replay_run_config(42);
-  const web::WebPage& page = bench_page();
-  const bool prev = core::arena_enabled();
-
-  auto measure = [&](bool arena_on) {
-    core::set_arena_enabled(arena_on);
-    // Warm the parse cache and lazy singletons so both passes measure the
-    // load itself, not one-time setup.
-    core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
-    CountingResource counting;
-    std::pmr::memory_resource* saved =
-        std::pmr::set_default_resource(&counting);
-    core::RunResult r = core::ExperimentRunner::run(core::Scheme::kDir, page,
-                                                    cfg);
-    std::pmr::set_default_resource(saved);
-    return std::tuple{counting.allocations(), counting.bytes(),
-                      r.arena_allocations, r.arena_bytes};
-  };
-  auto [heap_on, heap_bytes_on, served_on, served_bytes_on] = measure(true);
-  auto [heap_off, heap_bytes_off, served_off, served_bytes_off] =
-      measure(false);
-  core::set_arena_enabled(prev);
-  static_cast<void>(served_bytes_off);
-
-  if (served_on == 0 || served_off != 0) {
-    std::fprintf(stderr,
-                 "load alloc regression: arena accounting wrong (on served "
-                 "%llu, off served %llu)\n",
-                 static_cast<unsigned long long>(served_on),
-                 static_cast<unsigned long long>(served_off));
-    std::exit(1);
-  }
-  if (heap_on + kMinSavedAllocs > heap_off) {
-    std::fprintf(stderr,
-                 "load alloc regression: arena saves too little — %llu "
-                 "default-resource allocations per load with arena vs %llu "
-                 "without (need >= %llu saved)\n",
-                 static_cast<unsigned long long>(heap_on),
-                 static_cast<unsigned long long>(heap_off),
-                 static_cast<unsigned long long>(kMinSavedAllocs));
-    std::exit(1);
-  }
-  std::printf("load alloc regression OK: %llu default-resource allocations "
-              "(%llu bytes) per load with arena vs %llu (%llu bytes) "
-              "without; arena served %llu allocations (%llu bytes)\n",
-              static_cast<unsigned long long>(heap_on),
-              static_cast<unsigned long long>(heap_bytes_on),
-              static_cast<unsigned long long>(heap_off),
-              static_cast<unsigned long long>(heap_bytes_off),
-              static_cast<unsigned long long>(served_on),
-              static_cast<unsigned long long>(served_bytes_on));
 }
 
 void BM_EnergyAnalyzer(benchmark::State& state) {
@@ -331,7 +200,6 @@ BENCHMARK(BM_EnergyAnalyzer);
 
 int main(int argc, char** argv) {
   scheduler_allocation_regression();
-  load_allocation_regression();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -5,9 +5,8 @@
 # regression fails), parse-cache/faulted/fleet smokes, then a
 # ThreadSanitizer build that runs the parallel-runner and parse-cache
 # tests to prove the fan-out is race-free, an AddressSanitizer build that
-# runs the full suite twice — arena on, then PARCEL_ARENA=0 — to prove
-# the zero-copy string_view plumbing never dangles on either allocation
-# path, and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
+# runs the full suite to prove the zero-copy string_view plumbing never
+# dangles, and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
 # first report aborts) over the full suite. Usage: ./ci.sh [jobs]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -203,12 +202,6 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPARCEL_SANITIZE=address
 cmake --build build-asan -j "$JOBS" --target parcel_tests
 ./build-asan/tests/parcel_tests
-
-echo "==> AddressSanitizer + PARCEL_ARENA=0: full suite with arena off"
-# The kill switch routes every run_resource() container to the default
-# heap resource; the full suite must stay green and leak-free so the
-# arena-off fallback path is always shippable.
-PARCEL_ARENA=0 ./build-asan/tests/parcel_tests
 
 echo "==> UndefinedBehaviorSanitizer: full suite (first UB report aborts)"
 cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "browser/fetcher.hpp"
-#include "core/arena.hpp"
 #include "browser/ledger.hpp"
 #include "browser/main_thread.hpp"
 #include "sim/scheduler.hpp"
@@ -54,11 +52,8 @@ struct EngineConfig {
   double click_work_units = 2.0;
 };
 
-/// Device cache: fetched results keyed by interned URL identity. Lives in
-/// the per-run arena (all holders — engines, retired session engines, the
-/// proxy's warm cache — die with the run).
-using FetchCache =
-    std::pmr::unordered_map<net::UrlId, FetchResult, net::UrlIdHash>;
+/// Device cache: fetched results keyed by interned URL identity.
+using FetchCache = std::unordered_map<net::UrlId, FetchResult, net::UrlIdHash>;
 
 class BrowserEngine {
  public:
@@ -152,11 +147,8 @@ class BrowserEngine {
   bool parser_done_ = false;
   bool parser_gated_ = false;  // waiting on a sync script
 
-  // Per-load bookkeeping: bucket arrays and nodes bump out of the run
-  // arena when one is in scope (DESIGN.md §11).
-  FetchCache cache_{core::run_resource()};
-  std::pmr::unordered_set<net::UrlId, net::UrlIdHash> requested_{
-      core::run_resource()};
+  FetchCache cache_;
+  std::unordered_set<net::UrlId, net::UrlIdHash> requested_;
   std::size_t outstanding_blocking_ = 0;
   std::size_t outstanding_total_ = 0;
   std::size_t pending_async_execs_ = 0;
@@ -165,8 +157,7 @@ class BrowserEngine {
 
   /// Async executions deferred until onload fires: (post-onload delay,
   /// runnable).
-  std::pmr::vector<std::pair<Duration, std::function<void()>>>
-      pending_async_runs_{core::run_resource()};
+  std::vector<std::pair<Duration, std::function<void()>>> pending_async_runs_;
 
   std::map<int, net::Url> click_handlers_;
   std::optional<TimePoint> onload_time_;

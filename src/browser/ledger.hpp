@@ -4,10 +4,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "net/url.hpp"
 #include "util/units.hpp"
 #include "web/object.hpp"
@@ -35,7 +33,7 @@ class ObjectLedger {
                 bool failed = false);
 
   [[nodiscard]] const LedgerEntry& entry(std::uint32_t id) const;
-  [[nodiscard]] const std::pmr::vector<LedgerEntry>& entries() const {
+  [[nodiscard]] const std::vector<LedgerEntry>& entries() const {
     return entries_;
   }
 
@@ -45,8 +43,7 @@ class ObjectLedger {
   [[nodiscard]] util::Bytes completed_bytes() const;
 
  private:
-  // Ledger growth is per-run churn; draw from the run arena when active.
-  std::pmr::vector<LedgerEntry> entries_{core::run_resource()};
+  std::vector<LedgerEntry> entries_;
 };
 
 }  // namespace parcel::browser

@@ -356,32 +356,17 @@ RunResult run_cloud(const web::WebPage& page, const RunConfig& config) {
 
 RunResult ExperimentRunner::run(Scheme scheme, const web::WebPage& page,
                                 const RunConfig& config) {
-  // One arena per run, installed for this thread: the scheduler heap, the
-  // capture trace's columns and the browsers' per-load bookkeeping all
-  // bump out of it and are released wholesale when the run returns
-  // (DESIGN.md §11). RunResult keeps default-resource containers, so
-  // nothing escaping this frame can alias the arena.
-  core::Arena arena;
-  core::ArenaScope arena_scope(arena);
-  RunResult result;
   switch (scheme) {
     case Scheme::kDir:
-      result = run_dir(page, config);
-      break;
+      return run_dir(page, config);
     case Scheme::kHttpProxy:
     case Scheme::kSpdyProxy:
-      result = run_proxied(scheme, page, config);
-      break;
+      return run_proxied(scheme, page, config);
     case Scheme::kCloudBrowser:
-      result = run_cloud(page, config);
-      break;
+      return run_cloud(page, config);
     default:
-      result = run_parcel(scheme, page, config);
-      break;
+      return run_parcel(scheme, page, config);
   }
-  result.arena_bytes = arena.bytes_allocated();
-  result.arena_allocations = arena.allocation_count();
-  return result;
 }
 
 namespace {

@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "lte/radio_link.hpp"
 #include "net/fault_injector.hpp"
 #include "net/network.hpp"
@@ -97,11 +96,7 @@ class Testbed {
   TestbedConfig config_;
   sim::Scheduler sched_;
   net::Network network_;
-  // The capture trace grows one column row per radio burst for the whole
-  // run; bump its columns out of the run arena when one is in scope. The
-  // trace is handed off to RunResult by move-*assignment*, which lands
-  // element-wise on the default heap (never aliases the arena).
-  trace::PacketTrace trace_{core::run_resource()};
+  trace::PacketTrace trace_;
   util::Rng topo_rng_;
   std::unique_ptr<net::FaultInjector> faults_;
 

@@ -27,7 +27,7 @@ std::uint64_t isqrt_u64(std::uint64_t v) {
 namespace {
 
 /// -1 unset, else 0/1. First use consults PARCEL_CTRL (read exactly once,
-/// same convention as core::set_arena_enabled / PARCEL_ARENA).
+/// the util::env_flag convention).
 std::atomic<int> g_ctrl_enabled{-1};
 
 }  // namespace

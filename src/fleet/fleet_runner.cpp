@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "core/arena.hpp"
 #include "core/parallel_runner.hpp"
 #include "fleet/epoch_plan.hpp"
 #include "fleet/shard.hpp"
@@ -254,8 +253,6 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
   EpochAgg agg(config.sketch);
   const std::size_t n = epoch.end - epoch.begin;
 
-  core::Arena arena;
-  core::ArenaScope scope(arena);
   sim::Scheduler sched;
   ShardedFleet fleet(sched, config, &start);
 
@@ -420,8 +417,6 @@ FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
     // loop, but the micro phase still streams — sessions fan out in
     // bounded blocks and fold in client order, so memory is O(block),
     // not O(K).
-    core::Arena macro_arena;
-    core::ArenaScope macro_scope(macro_arena);
     sim::Scheduler sched;
     ShardedFleet fleet(sched, config);
     MacroColumns mc;
@@ -517,13 +512,9 @@ FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
   // ---- Macro phase: one shared timeline for arrivals, the routing
   // front, the store tiers, and every shard's compute pool. Serial by
   // construction; depends only on the corpus pages and the specs, never
-  // on micro-run outputs. The macro scheduler heap bumps out of its own
-  // arena; micro-runs install per-run arenas of their own inside
-  // ExperimentRunner::run (worker threads, nested fine). Explicit specs
-  // may carry arbitrary client ids/weights, so those two columns are
-  // materialized from the AoS records here.
-  core::Arena macro_arena;
-  core::ArenaScope macro_scope(macro_arena);
+  // on micro-run outputs. Explicit specs may carry arbitrary client
+  // ids/weights, so those two columns are materialized from the AoS
+  // records here.
   sim::Scheduler sched;
   ShardedFleet fleet(sched, config);
 

@@ -12,18 +12,14 @@
 // scheduling allocates nothing; a handle resolves its event through the
 // scheduler by sequence number only when cancel()/pending() is actually
 // called, so the common fire-and-forget path does zero shared_ptr
-// allocations per event. The heap's backing store draws from the per-run
-// arena when one is in scope (core::ArenaScope; DESIGN.md §11), so even
-// the heap's geometric regrowth stops hitting the global allocator.
+// allocations per event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <memory_resource>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "util/units.hpp"
 
 namespace parcel::sim {
@@ -57,12 +53,7 @@ class EventHandle {
 
 class Scheduler {
  public:
-  /// Default: event storage from the ambient per-run arena when a
-  /// core::ArenaScope is active on this thread, else the heap.
-  Scheduler() : Scheduler(core::run_resource()) {}
-  /// Explicit resource, for callers that manage arenas directly. The
-  /// resource must outlive the scheduler.
-  explicit Scheduler(std::pmr::memory_resource* mr) : heap_(mr) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -114,7 +105,7 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   // Min-heap on (when, seq) maintained with std::push_heap/std::pop_heap;
   // cancelled entries stay in place and are skipped when popped.
-  std::pmr::vector<Entry> heap_;
+  std::vector<Entry> heap_;
   // Liveness token handed to EventHandles as a weak_ptr; expires with the
   // scheduler so stale handles degrade to no-ops instead of dangling.
   std::shared_ptr<Scheduler*> self_ = std::make_shared<Scheduler*>(this);

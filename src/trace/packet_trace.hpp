@@ -19,15 +19,12 @@
 // linear scans; records()/fault_events() return lightweight views whose
 // iterators materialize PacketRecord/FaultEvent values on demand, so the
 // ~20 pre-SoA consumers (range-for, front()/back(), operator[]) migrate
-// mechanically. Column storage draws from the per-run arena when one is
-// in scope; traces that outlive a run (RunResult) are default-resource
-// and receive the data element-wise on assignment.
+// mechanically.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <memory_resource>
 #include <optional>
 #include <span>
 #include <string>
@@ -163,25 +160,6 @@ class RowView {
 
 class PacketTrace {
  public:
-  /// Traces that outlive a run (RunResult members, fixtures) use the
-  /// default heap resource; the testbed's capture trace passes
-  /// core::run_resource() so column growth bumps out of the run arena.
-  PacketTrace() : PacketTrace(std::pmr::get_default_resource()) {}
-  explicit PacketTrace(std::pmr::memory_resource* mr)
-      : t_(mr), dir_(mr), kind_(mr), bytes_(mr), conn_(mr), obj_(mr),
-        fault_t_(mr), fault_kind_(mr), fault_bytes_(mr), fault_conn_(mr) {}
-
-  // Copies re-home to the copier's default resource (pmr
-  // select_on_container_copy_construction), so a RunResult copy of an
-  // arena trace never aliases the arena. Moves propagate the source
-  // resource; move-assignment across unequal resources (arena trace into
-  // a default-resource RunResult) degrades to element-wise transfer,
-  // which is exactly the run-exit handoff we want.
-  PacketTrace(const PacketTrace&) = default;
-  PacketTrace& operator=(const PacketTrace&) = default;
-  PacketTrace(PacketTrace&&) = default;
-  PacketTrace& operator=(PacketTrace&&) = default;
-
   void record(PacketRecord r);
 
   /// Materialize row `i` (bounds unchecked, like span indexing was).
@@ -277,17 +255,17 @@ class PacketTrace {
  private:
   // Packet columns, index-aligned, sorted by t_ (promotion retiming can
   // hand records in slightly out of order; record() restores order).
-  std::pmr::vector<TimePoint> t_;
-  std::pmr::vector<Direction> dir_;
-  std::pmr::vector<PacketKind> kind_;
-  std::pmr::vector<Bytes> bytes_;
-  std::pmr::vector<std::uint32_t> conn_;
-  std::pmr::vector<std::uint32_t> obj_;
+  std::vector<TimePoint> t_;
+  std::vector<Direction> dir_;
+  std::vector<PacketKind> kind_;
+  std::vector<Bytes> bytes_;
+  std::vector<std::uint32_t> conn_;
+  std::vector<std::uint32_t> obj_;
   // Fault-event columns, same discipline.
-  std::pmr::vector<TimePoint> fault_t_;
-  std::pmr::vector<FaultKind> fault_kind_;
-  std::pmr::vector<Bytes> fault_bytes_;
-  std::pmr::vector<std::uint32_t> fault_conn_;
+  std::vector<TimePoint> fault_t_;
+  std::vector<FaultKind> fault_kind_;
+  std::vector<Bytes> fault_bytes_;
+  std::vector<std::uint32_t> fault_conn_;
   // Live capture tap (never serialized; cleared before RunResult handoff).
   std::function<void(const PacketRecord&)> burst_listener_;
 };

@@ -4,7 +4,7 @@
 // exempt here and only here). Every toggle is read once, at first use, so
 // behaviour cannot change mid-run; callers cache the result in their own
 // process-wide flag when they need a programmatic override on top (see
-// core::set_arena_enabled).
+// ctrl::set_ctrl_enabled).
 #pragma once
 
 namespace parcel::util {

@@ -406,15 +406,15 @@ TEST(ParcelLint, LayerConfigGrammar) {
   Config cfg;
   std::string error;
   ASSERT_TRUE(parse_config(
-      "layer base = src/util src/core/arena.hpp\n"
+      "layer base = src/util src/core/leaf.hpp\n"
       "layer core = src/core\n"
       "layer app  = src/app\n"
       "allow-dep core -> base\n"
       "allow-dep app -> core\n",
       cfg, error))
       << error;
-  // Longest prefix wins: arena.hpp is carved out of core into base.
-  EXPECT_EQ(cfg.layer_of("src/core/arena.hpp"), "base");
+  // Longest prefix wins: leaf.hpp is carved out of core into base.
+  EXPECT_EQ(cfg.layer_of("src/core/leaf.hpp"), "base");
   EXPECT_EQ(cfg.layer_of("src/core/run.cpp"), "core");
   EXPECT_EQ(cfg.layer_of("src/util/env.hpp"), "base");
   EXPECT_EQ(cfg.layer_of("tools/x.cpp"), "");

@@ -51,7 +51,7 @@ bool Config::applies(const std::string& rule,
 
 std::string Config::layer_of(const std::string& rel_path) const {
   // Longest prefix wins, so a single file can be carved out of its
-  // directory's layer (src/core/arena.hpp -> base while src/core -> core).
+  // directory's layer (src/core/leaf.hpp -> base while src/core -> core).
   std::size_t best_len = 0;
   std::string best;
   for (const LayerSpec& layer : layers) {

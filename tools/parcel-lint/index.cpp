@@ -431,7 +431,7 @@ namespace {
 
 struct Taint {
   // Display chain from the tainted function down to the source token,
-  // e.g. {"arena_enabled", "env_flag", "getenv() [nondet-getenv at
+  // e.g. {"ctrl_enabled", "env_flag", "getenv() [nondet-getenv at
   // src/util/env.cpp:9]"}.
   std::vector<std::string> chain;
 };

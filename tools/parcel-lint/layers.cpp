@@ -2,7 +2,7 @@
 // graph.  lint.rules declares layers as path-prefix sets and sanctions
 // directed edges:
 //
-//   layer base = src/util src/core/arena.hpp
+//   layer base = src/util
 //   layer net  = src/net
 //   allow-dep net -> base
 //

@@ -105,7 +105,7 @@ struct RuleConfig {
 
 // One `layer <name> = <prefix>...` declaration.  A file belongs to the
 // layer with the longest matching prefix, so a single utility header can
-// be carved out of its directory (e.g. src/core/arena.hpp into `base`
+// be carved out of its directory (e.g. src/core/leaf.hpp into `base`
 // while the rest of src/core stays in `core`).
 struct LayerSpec {
   std::string name;
