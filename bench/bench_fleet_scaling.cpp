@@ -73,16 +73,15 @@ double peak_rss_mib() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+/// Bitwise fleet identity, no tolerance anywhere (the determinism bar):
+/// per-client results (exact mode), integer counters, sketch contents
+/// (LogHistogram operator== compares every bin count), and double sums.
 bool fleet_identical(const fleet::FleetMetrics& a,
                      const fleet::FleetMetrics& b) {
-  if (a.clients.size() != b.clients.size() || a.admitted != b.admitted ||
-      a.shed != b.shed) {
-    return false;
-  }
+  if (a.clients.size() != b.clients.size()) return false;
   for (std::size_t i = 0; i < a.clients.size(); ++i) {
     const fleet::FleetClientResult& x = a.clients[i];
     const fleet::FleetClientResult& y = b.clients[i];
-    // Bitwise: no tolerance anywhere (the determinism bar).
     if (x.shed != y.shed || x.queue_wait.sec() != y.queue_wait.sec() ||
         x.olt.sec() != y.olt.sec() || x.tlt.sec() != y.tlt.sec() ||
         x.session.olt.sec() != y.session.olt.sec() ||
@@ -93,38 +92,13 @@ bool fleet_identical(const fleet::FleetMetrics& a,
       return false;
     }
   }
-  return a.olt_p95 == b.olt_p95 && a.wait_p95 == b.wait_p95 &&
-         a.fetch_parse_sec == b.fetch_parse_sec &&
-         a.store.hits == b.store.hits && a.store.misses == b.store.misses &&
-         a.store.bytes_saved == b.store.bytes_saved &&
-         a.l2.hits == b.l2.hits && a.l2.misses == b.l2.misses &&
-         a.compute.completed == b.compute.completed &&
-         a.compute.transfer_busy_sec == b.compute.transfer_busy_sec &&
-         a.crash_handoffs == b.crash_handoffs &&
-         a.crash_killed_tasks == b.crash_killed_tasks &&
-         a.redo_sec_total == b.redo_sec_total &&
-         a.redo_bytes_total == b.redo_bytes_total &&
-         a.recovery_sec_total == b.recovery_sec_total &&
-         a.recovery_sec_max == b.recovery_sec_max &&
-         a.fault_retransmits == b.fault_retransmits &&
-         a.fault_drops == b.fault_drops &&
-         a.fault_deferrals == b.fault_deferrals &&
-         a.direct_fetches == b.direct_fetches &&
-         a.degraded_sessions == b.degraded_sessions;
-}
-
-/// Bitwise identity for streaming-mode metrics: integer counters, sketch
-/// contents (LogHistogram operator== compares every bin count), and the
-/// double sums — no tolerance anywhere (the determinism bar, extended to
-/// the epoch-parallel path).
-bool streaming_identical(const fleet::FleetMetrics& a,
-                         const fleet::FleetMetrics& b) {
   return a.admitted == b.admitted && a.shed == b.shed &&
          a.sessions_ok == b.sessions_ok && a.epochs == b.epochs &&
          a.epoch_parallel == b.epoch_parallel &&
          a.epoch_degrade_reason == b.epoch_degrade_reason &&
          a.olt_stats == b.olt_stats && a.tlt_stats == b.tlt_stats &&
          a.wait_stats == b.wait_stats && a.energy_stats == b.energy_stats &&
+         a.recovery_stats == b.recovery_stats &&
          a.olt_p50 == b.olt_p50 && a.olt_p95 == b.olt_p95 &&
          a.olt_p99 == b.olt_p99 && a.wait_p50 == b.wait_p50 &&
          a.wait_p95 == b.wait_p95 && a.wait_p99 == b.wait_p99 &&
@@ -135,19 +109,19 @@ bool streaming_identical(const fleet::FleetMetrics& a,
          a.store.evictions == b.store.evictions &&
          a.store.bytes_saved == b.store.bytes_saved &&
          a.store.bytes_stored == b.store.bytes_stored &&
+         a.l2.hits == b.l2.hits && a.l2.misses == b.l2.misses &&
          a.compute.completed == b.compute.completed &&
          a.compute.fetch_busy_sec == b.compute.fetch_busy_sec &&
          a.compute.parse_busy_sec == b.compute.parse_busy_sec &&
          a.compute.bundle_busy_sec == b.compute.bundle_busy_sec &&
          a.compute.transfer_busy_sec == b.compute.transfer_busy_sec &&
          a.compute.last_finish.sec() == b.compute.last_finish.sec() &&
-         a.recovery_stats == b.recovery_stats &&
-         a.l2.hits == b.l2.hits && a.l2.misses == b.l2.misses &&
          a.crash_handoffs == b.crash_handoffs &&
          a.crash_killed_tasks == b.crash_killed_tasks &&
          a.redo_sec_total == b.redo_sec_total &&
          a.redo_bytes_total == b.redo_bytes_total &&
          a.recovery_sec_total == b.recovery_sec_total &&
+         a.recovery_sec_max == b.recovery_sec_max &&
          a.fault_retransmits == b.fault_retransmits &&
          a.fault_drops == b.fault_drops &&
          a.fault_deferrals == b.fault_deferrals &&
@@ -341,7 +315,7 @@ int main(int argc, char** argv) {
   fleet::FleetMetrics stream4 = fleet::run_fleet(light.replayed, stream_cfg);
   double wall_jobs4 = seconds_since(t4);
 
-  bool stream_identical = streaming_identical(stream1, stream4) &&
+  bool stream_identical = fleet_identical(stream1, stream4) &&
                           stream1.clients.empty() && stream4.clients.empty();
   bool stream_epochs_ok = stream1.epochs > 1 && stream1.epoch_parallel &&
                           stream1.epoch_degrade_reason.empty();

@@ -138,15 +138,6 @@ FadeOption parse_fade(const char* flag, const char* text) {
   return opt;
 }
 
-// Strict on/off parse for boolean toggles (--ctrl): nothing but the two
-// canonical spellings, so "1"/"true"/"ON" typos fail loudly.
-bool parse_on_off(const char* flag, const char* text) {
-  if (std::strcmp(text, "on") == 0) return true;
-  if (std::strcmp(text, "off") == 0) return false;
-  throw std::invalid_argument(std::string(flag) + " expects 'on' or 'off', got '" +
-                              text + "'");
-}
-
 // Strict page-mix name parse (--mix): exactly the to_string names.
 web::PageMix parse_page_mix(const char* flag, const char* text) {
   for (web::PageMix mix :
@@ -262,14 +253,6 @@ BenchOptions parse_options(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--ctrl") == 0) {
-      const char* value = flag_value("--ctrl", argc, argv, i);
-      try {
-        opts.ctrl = parse_on_off("--ctrl", value);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--mix") == 0) {
       const char* name = flag_value("--mix", argc, argv, i);
       try {
@@ -286,6 +269,10 @@ BenchOptions parse_options(int argc, char** argv) {
         std::fprintf(stderr, "error: --faults: %s\n", e.what());
         std::exit(2);
       }
+    } else {
+      // A typo such as --shard must not silently run the default.
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      std::exit(2);
     }
   }
   // parcel-lint: allow(nondet-getenv) sanctioned bench toggle; the seed is echoed into BENCH_*.json so every run stays reproducible

@@ -190,13 +190,13 @@ RunResult run_parcel(Scheme scheme, const web::WebPage& page,
                         util::Rng(config.seed));
 
   // Closed-loop adaptive bundling (ISSUE 10). The controller only exists
-  // for kParcelAdaptive with the kill switch on: every other scheme (and
-  // PARCEL_CTRL=0 adaptive runs) never installs the listener, consumes
-  // no RNG and arms no events, so their traces stay byte-identical to a
-  // build without the ctrl layer. The controller itself is deterministic
-  // integer state fed in record order — bitwise identical across --jobs.
+  // for kParcelAdaptive: every other scheme never installs the listener,
+  // consumes no RNG and arms no events, so their traces stay
+  // byte-identical to a build without the ctrl layer. The controller
+  // itself is deterministic integer state fed in record order — bitwise
+  // identical across --jobs.
   std::optional<ctrl::BundleController> controller;
-  if (scheme == Scheme::kParcelAdaptive && ctrl::ctrl_enabled()) {
+  if (scheme == Scheme::kParcelAdaptive) {
     ctrl::ControllerConfig ctrl_cfg = config.ctrl;
     // The estimator's CR gate and promotion compensation must describe
     // the radio this run actually uses.

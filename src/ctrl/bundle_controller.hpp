@@ -24,10 +24,7 @@
 // bench_adaptive races against the fixed-size grid.
 //
 // Determinism: integer arithmetic throughout (isqrt is Newton on
-// uint64), no RNG, no clocks. Kill switch: PARCEL_CTRL=0 (or
-// set_ctrl_enabled(false)) disables the control loop process-wide; the
-// experiment harness then never installs the trace listener, so runs are
-// byte-identical to the fixed-threshold schemes.
+// uint64), no RNG, no clocks.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +38,6 @@ namespace parcel::ctrl {
 /// Integer square root: floor(sqrt(v)). Deterministic (Newton's method
 /// on uint64), exposed for tests.
 [[nodiscard]] std::uint64_t isqrt_u64(std::uint64_t v);
-
-/// Process-wide kill switch. Reads PARCEL_CTRL once at first use;
-/// set_ctrl_enabled overrides programmatically (tests, benches).
-[[nodiscard]] bool ctrl_enabled();
-void set_ctrl_enabled(bool on);
 
 struct ControllerConfig {
   EstimatorConfig estimator;

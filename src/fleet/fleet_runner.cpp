@@ -151,21 +151,29 @@ ClientColumns derive_client_columns(const FleetConfig& config,
   return cols;
 }
 
+namespace {
+
+/// Client i's session configuration: the base config with the client's
+/// derived seeds. The one place the per-client derivation lives.
+core::RunConfig client_config(const FleetConfig& config,
+                              const ClientColumns& cols, std::size_t i) {
+  core::RunConfig cfg = config.base;
+  cfg.seed = cols.seed[i];
+  cfg.testbed.fade_seed = cols.fade_seed[i];
+  return cfg;
+}
+
+}  // namespace
+
 std::vector<ClientSpec> derive_clients(const FleetConfig& config,
                                        std::size_t corpus_pages) {
   ClientColumns cols = derive_client_columns(config, corpus_pages);
   std::vector<ClientSpec> specs;
   specs.reserve(cols.size());
   for (std::size_t k = 0; k < cols.size(); ++k) {
-    ClientSpec spec;
-    spec.client = static_cast<int>(k);
-    spec.page_index = cols.page_index[k];
-    spec.scheme = config.scheme;
-    spec.arrival = util::TimePoint::at_seconds(cols.arrival_sec[k]);
-    spec.config = config.base;
-    spec.config.seed = cols.seed[k];
-    spec.config.testbed.fade_seed = cols.fade_seed[k];
-    specs.push_back(std::move(spec));
+    specs.push_back(ClientSpec{cols.page_index[k], config.scheme,
+                               util::TimePoint::at_seconds(cols.arrival_sec[k]),
+                               client_config(config, cols, k)});
   }
   return specs;
 }
@@ -192,8 +200,8 @@ void fold_compute(ProxyCompute::Stats& dst, const ProxyCompute::Stats& src) {
   dst.last_finish = std::max(dst.last_finish, src.last_finish);
 }
 
-/// Per-epoch streaming aggregate: everything a finished epoch contributes
-/// to FleetMetrics, plus the state the boundary invariant check needs.
+/// Per-epoch aggregate: everything a finished epoch contributes to
+/// FleetMetrics, plus the state the boundary invariant check needs.
 struct EpochAgg {
   explicit EpochAgg(const core::LogHistogram::Layout& layout)
       : olt(layout), tlt(layout), wait(layout), energy(layout),
@@ -243,19 +251,25 @@ void fold_handoffs(EpochAgg& agg, const MacroOut& out) {
   }
 }
 
-/// Simulate one epoch end-to-end on the calling thread: macro timeline
-/// from the starting store snapshot, then every admitted micro-sim in
-/// client order, folding each result into the sketches the moment it
-/// completes — the RunResult is dropped before the next session runs.
+/// Micro-sims per fan-out wave and per parse-cache sweep: the RunResults
+/// alive at once stay O(kWave), independent of K.
+constexpr std::size_t kWave = 256;
+
+/// Simulate one epoch end-to-end on one macro timeline: arrivals from the
+/// starting tiers (`start`, or cold when null), then every admitted
+/// micro-sim, folded in client order. With jobs == 1 each session runs
+/// inline and its RunResult is dropped before the next one starts; a
+/// wider pool takes kWave sessions per wave. Exact mode passes `clients`
+/// (sized to the epoch) to keep every client's result as well.
 EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
                    const ClientColumns& cols, EpochPlan::Epoch epoch,
-                   const ShardSnapshot& start, const FleetConfig& config) {
+                   const ShardSnapshot* start, const FleetConfig& config,
+                   int jobs, std::vector<FleetClientResult>* clients) {
   EpochAgg agg(config.sketch);
   const std::size_t n = epoch.end - epoch.begin;
 
   sim::Scheduler sched;
-  ShardedFleet fleet(sched, config, &start);
-
+  ShardedFleet fleet(sched, config, start);
   MacroColumns mc;
   mc.arrival_sec =
       std::span<const double>(cols.arrival_sec).subspan(epoch.begin, n);
@@ -265,30 +279,67 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
   MacroOut out(n);
   fleet.run(corpus, mc, out);
 
+  std::vector<std::size_t> admitted;  // epoch-local indices, client order
   for (std::size_t j = 0; j < n; ++j) {
     if (out.shed[j] != 0) {
       ++agg.shed;
-      continue;
+    } else {
+      admitted.push_back(j);
     }
-    ++agg.admitted;
-    std::size_t i = epoch.begin + j;
-    core::RunConfig cfg = config.base;
-    cfg.seed = cols.seed[i];
-    cfg.testbed.fade_seed = cols.fade_seed[i];
-    core::RunResult r = core::ExperimentRunner::run(
-        config.scheme, *corpus[cols.page_index[i]], cfg);
-    fold_session(agg, r, out.max_wait_sec[j]);
+    if (clients != nullptr) {
+      const std::size_t i = epoch.begin + j;
+      FleetClientResult& r = (*clients)[j];
+      r.client = static_cast<int>(i);
+      r.page_index = cols.page_index[i];
+      r.arrival = util::TimePoint::at_seconds(cols.arrival_sec[i]);
+      r.shed = out.shed[j] != 0;
+    }
+  }
+  agg.admitted = static_cast<int>(admitted.size());
+
+  const std::size_t wave = jobs == 1 ? 1 : kWave;
+  core::ParallelRunner runner(jobs);
+  std::vector<core::RunResult> results;
+  for (std::size_t b = 0; b < admitted.size(); b += wave) {
+    const std::size_t count = std::min(wave, admitted.size() - b);
+    results.clear();
+    results.resize(count);
+    runner.for_each_index(count, [&](std::size_t s) {
+      const std::size_t i = epoch.begin + admitted[b + s];
+      results[s] = core::ExperimentRunner::run(
+          config.scheme, *corpus[cols.page_index[i]],
+          client_config(config, cols, i));
+    });
+    for (std::size_t s = 0; s < count; ++s) {
+      const std::size_t j = admitted[b + s];
+      fold_session(agg, results[s], out.max_wait_sec[j]);
+      if (clients == nullptr) continue;
+      FleetClientResult& r = (*clients)[j];
+      r.queue_wait = util::Duration::seconds(out.max_wait_sec[j]);
+      r.proxy_done = util::TimePoint::at_seconds(out.done_sec[j]);
+      r.session = std::move(results[s]);
+      // Fleet-adjusted timeline: the contention the session sim cannot
+      // see is exactly the time this client's work sat waiting.
+      r.olt = r.session.olt + r.queue_wait;
+      r.tlt = r.session.tlt + r.queue_wait;
+      r.handoffs = out.handoffs[j];
+      r.recovery = util::Duration::seconds(out.recovery_sec[j]);
+      r.redo_sec = out.redo_sec[j];
+      r.redo_bytes = out.redo_bytes[j];
+    }
+    // Per-session content (bundle-unpacked objects) pins parse-cache
+    // entries that can never hit again; without periodic sweeps the
+    // cache footprint grows linearly in K. Corpus artifacts survive
+    // (their owners still pin them), so warm-cache behavior is unchanged.
+    const std::size_t done = b + count;
+    if (done % kWave == 0 || done == admitted.size()) {
+      web::ParseCache::instance().sweep_transient();
+    }
   }
   fold_handoffs(agg, out);
 
   agg.fleet = fleet.stats();
   agg.end_snap = fleet.snapshot();
-  // Per-session content (bundle-unpacked objects) pins parse-cache
-  // entries that can never hit again; without this per-epoch sweep the
-  // cache footprint grows linearly in K and the bounded-memory claim of
-  // streaming mode is void. Corpus artifacts survive (their owners still
-  // pin them), so warm-cache behavior is unchanged.
-  web::ParseCache::instance().sweep_transient();
   return agg;
 }
 
@@ -341,13 +392,40 @@ bool snapshots_equal(const ShardSnapshot& a, const ShardSnapshot& b) {
   return a.l2.contents_equal(b.l2);
 }
 
-FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
-                                 const FleetConfig& config) {
+/// Exact (interpolated) percentiles over the kept per-client
+/// results, replacing the sketch approximation (exact mode only).
+void stamp_exact_percentiles(FleetMetrics& m) {
+  std::vector<double> olts, waits;
+  for (const FleetClientResult& r : m.clients) {
+    if (r.shed) continue;
+    olts.push_back(r.olt.sec());
+    waits.push_back(r.queue_wait.sec());
+  }
+  if (olts.empty()) return;  // the empty sketches already read 0
+  m.olt_p50 = util::percentile(olts, 50.0);
+  m.olt_p95 = util::percentile(olts, 95.0);
+  m.olt_p99 = util::percentile(olts, 99.0);
+  m.wait_p50 = util::percentile(waits, 50.0);
+  m.wait_p95 = util::percentile(waits, 95.0);
+  m.wait_p99 = util::percentile(waits, 99.0);
+}
+
+}  // namespace
+
+FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
+                       const FleetConfig& config) {
   ClientColumns cols = derive_client_columns(config, corpus.size());
-  EpochPlan plan = plan_epochs(corpus, cols, config);
+  // Streaming mode may split the timeline into concurrent epochs; exact
+  // mode is always one serial epoch.
+  EpochPlan plan;
+  if (config.streaming) {
+    plan = plan_epochs(corpus, cols, config);
+  } else {
+    plan.epochs.push_back(EpochPlan::Epoch{0, cols.size()});
+  }
 
   FleetMetrics m;
-  m.streaming = true;
+  m.streaming = config.streaming;
   m.shards = config.shards;
   if (config.shards > 1) {
     m.l1_shards.resize(static_cast<std::size_t>(config.shards));
@@ -382,10 +460,13 @@ FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
                             replay);
     }
 
+    // The epochs themselves are the fan-out, so each runs its micro-sims
+    // inline (jobs = 1).
     std::vector<EpochAgg> aggs(plan.epochs.size(), EpochAgg(config.sketch));
     core::ParallelRunner runner(config.jobs);
     runner.for_each_index(plan.epochs.size(), [&](std::size_t e) {
-      aggs[e] = run_epoch(corpus, cols, plan.epochs[e], starts[e], config);
+      aggs[e] = run_epoch(corpus, cols, plan.epochs[e], &starts[e], config,
+                          /*jobs=*/1, /*clients=*/nullptr);
     });
 
     // The non-interaction argument is checked, not assumed: every epoch's
@@ -412,53 +493,14 @@ FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
     for (const EpochAgg& agg : aggs) fold_epoch(m, agg);
     if (!aggs.empty()) stamp_resident_bytes(m, aggs.back().fleet);
   } else {
-    // One serial timeline (admission bounds, blackouts, a shard crash, or
-    // a fleet too small to split): the macro phase is the exact-mode
-    // loop, but the micro phase still streams — sessions fan out in
-    // bounded blocks and fold in client order, so memory is O(block),
-    // not O(K).
-    sim::Scheduler sched;
-    ShardedFleet fleet(sched, config);
-    MacroColumns mc;
-    mc.arrival_sec = cols.arrival_sec;
-    mc.page_index = cols.page_index;
-    MacroOut out(cols.size());
-    fleet.run(corpus, mc, out);
-
-    EpochAgg agg(config.sketch);
-    std::vector<std::size_t> admitted;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (out.shed[i] != 0) {
-        ++agg.shed;
-      } else {
-        admitted.push_back(i);
-      }
-    }
-    agg.admitted = static_cast<int>(admitted.size());
-    constexpr std::size_t kBlock = 256;
-    for (std::size_t b = 0; b < admitted.size(); b += kBlock) {
-      std::size_t block_end = std::min(admitted.size(), b + kBlock);
-      std::vector<core::ExperimentTask> tasks;
-      tasks.reserve(block_end - b);
-      for (std::size_t s = b; s < block_end; ++s) {
-        std::size_t i = admitted[s];
-        core::RunConfig cfg = config.base;
-        cfg.seed = cols.seed[i];
-        cfg.testbed.fade_seed = cols.fade_seed[i];
-        tasks.push_back(core::ExperimentTask{
-            config.scheme, corpus[cols.page_index[i]], cfg});
-      }
-      std::vector<core::RunResult> results =
-          core::run_experiments(tasks, config.jobs);
-      for (std::size_t s = b; s < block_end; ++s) {
-        fold_session(agg, results[s - b], out.max_wait_sec[admitted[s]]);
-      }
-      // Same bounded-memory discipline as run_epoch: the block's sessions
-      // are done, so their transient parse-cache pins are dead weight.
-      web::ParseCache::instance().sweep_transient();
-    }
-    fold_handoffs(agg, out);
-    agg.fleet = fleet.stats();
+    // One serial timeline (exact mode, admission bounds, blackouts, a
+    // shard crash, or a fleet too small to split); the micro-sims fan out
+    // across config.jobs workers in bounded waves.
+    if (!config.streaming) m.clients.resize(cols.size());
+    EpochAgg agg =
+        run_epoch(corpus, cols, plan.epochs.front(), /*start=*/nullptr,
+                  config, config.jobs,
+                  config.streaming ? nullptr : &m.clients);
     fold_epoch(m, agg);
     stamp_resident_bytes(m, agg.fleet);
   }
@@ -469,158 +511,11 @@ FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
   m.wait_p50 = m.wait_stats.quantile(50.0);
   m.wait_p95 = m.wait_stats.quantile(95.0);
   m.wait_p99 = m.wait_stats.quantile(99.0);
+  if (!config.streaming) stamp_exact_percentiles(m);
   m.energy_j_total = m.energy_stats.sum();
   m.proxy_busy_sec = m.compute.busy_sec();
   m.fetch_parse_sec = m.compute.fetch_parse_sec();
   return m;
-}
-
-}  // namespace
-
-FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
-                       const FleetConfig& config) {
-  if (config.streaming) {
-    config.validate();
-    if (corpus.empty()) {
-      throw std::invalid_argument("run_fleet: corpus is empty");
-    }
-    return run_fleet_streaming(corpus, config);
-  }
-  return run_fleet(corpus, derive_clients(config, corpus.size()), config);
-}
-
-FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
-                       const std::vector<ClientSpec>& specs,
-                       const FleetConfig& config) {
-  config.validate();
-  if (config.streaming) {
-    throw std::invalid_argument(
-        "run_fleet: streaming mode derives its own clients; use the "
-        "corpus-only overload");
-  }
-  if (corpus.empty()) {
-    throw std::invalid_argument("run_fleet: corpus is empty");
-  }
-  for (const ClientSpec& spec : specs) {
-    if (spec.page_index >= corpus.size()) {
-      throw std::invalid_argument(
-          "run_fleet: client page_index out of range: " +
-          std::to_string(spec.page_index));
-    }
-  }
-
-  // ---- Macro phase: one shared timeline for arrivals, the routing
-  // front, the store tiers, and every shard's compute pool. Serial by
-  // construction; depends only on the corpus pages and the specs, never
-  // on micro-run outputs. Explicit specs may carry arbitrary client
-  // ids/weights, so those two columns are materialized from the AoS
-  // records here.
-  sim::Scheduler sched;
-  ShardedFleet fleet(sched, config);
-
-  std::vector<double> arrival_sec;
-  std::vector<std::uint32_t> page_index;
-  std::vector<int> client;
-  std::vector<double> weight;
-  arrival_sec.reserve(specs.size());
-  page_index.reserve(specs.size());
-  client.reserve(specs.size());
-  weight.reserve(specs.size());
-  for (const ClientSpec& spec : specs) {
-    arrival_sec.push_back(spec.arrival.sec());
-    page_index.push_back(static_cast<std::uint32_t>(spec.page_index));
-    client.push_back(spec.client);
-    weight.push_back(spec.weight);
-  }
-  MacroColumns mc{arrival_sec, page_index, client, weight, 0};
-  MacroOut out(specs.size());
-  fleet.run(corpus, mc, out);
-
-  // ---- Micro phase: one independent session simulation per admitted
-  // client, fanned out across the parallel runner (slot-indexed, so any
-  // jobs value is bitwise identical).
-  std::vector<std::size_t> admitted;
-  std::vector<core::ExperimentTask> tasks;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (out.shed[i] != 0) continue;
-    admitted.push_back(i);
-    tasks.push_back(core::ExperimentTask{specs[i].scheme,
-                                         corpus[specs[i].page_index],
-                                         specs[i].config});
-  }
-  std::vector<core::RunResult> sessions =
-      core::run_experiments(tasks, config.jobs);
-
-  // ---- Merge.
-  FleetMetrics metrics;
-  metrics.shards = config.shards;
-  metrics.clients.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    FleetClientResult& r = metrics.clients[i];
-    r.client = specs[i].client;
-    r.page_index = specs[i].page_index;
-    r.arrival = specs[i].arrival;
-    r.shed = out.shed[i] != 0;
-  }
-  std::vector<double> olts, waits;
-  olts.reserve(admitted.size());
-  waits.reserve(admitted.size());
-  for (std::size_t s = 0; s < admitted.size(); ++s) {
-    std::size_t i = admitted[s];
-    FleetClientResult& r = metrics.clients[i];
-    r.queue_wait = util::Duration::seconds(out.max_wait_sec[i]);
-    r.proxy_done = util::TimePoint::at_seconds(out.done_sec[i]);
-    r.session = std::move(sessions[s]);
-    // Fleet-adjusted timeline: the contention the session sim cannot see
-    // is exactly the time this client's work sat waiting at the proxy.
-    r.olt = r.session.olt + r.queue_wait;
-    r.tlt = r.session.tlt + r.queue_wait;
-    // Crash-handoff accounting, mirrored onto the session result so the
-    // per-session surface carries its own recovery story (ISSUE 8).
-    r.handoffs = out.handoffs[i];
-    r.recovery = util::Duration::seconds(out.recovery_sec[i]);
-    r.redo_sec = out.redo_sec[i];
-    r.redo_bytes = out.redo_bytes[i];
-    r.session.shard_handoffs = out.handoffs[i];
-    r.session.handoff_recovery = r.recovery;
-    r.session.redo_service_sec = r.redo_sec;
-    r.session.redo_bytes = r.redo_bytes;
-    if (r.handoffs > 0) {
-      metrics.recovery_sec_total += out.recovery_sec[i];
-      metrics.recovery_sec_max =
-          std::max(metrics.recovery_sec_max, out.recovery_sec[i]);
-    }
-    olts.push_back(r.olt.sec());
-    waits.push_back(r.queue_wait.sec());
-    metrics.energy_j_total += r.session.radio.total.j();
-    metrics.fault_retransmits += r.session.retransmits;
-    metrics.fault_drops += r.session.fault_drops;
-    metrics.fault_deferrals += r.session.fault_deferrals;
-    metrics.direct_fetches += r.session.direct_fetches;
-    if (r.session.degraded) ++metrics.degraded_sessions;
-  }
-  metrics.admitted = static_cast<int>(admitted.size());
-  metrics.shed = static_cast<int>(specs.size() - admitted.size());
-  if (!olts.empty()) {
-    metrics.olt_p50 = util::percentile(olts, 50.0);
-    metrics.olt_p95 = util::percentile(olts, 95.0);
-    metrics.olt_p99 = util::percentile(olts, 99.0);
-    metrics.wait_p50 = util::percentile(waits, 50.0);
-    metrics.wait_p95 = util::percentile(waits, 95.0);
-    metrics.wait_p99 = util::percentile(waits, 99.0);
-  }
-  ShardedFleetStats st = fleet.stats();
-  metrics.store = st.l1_total();
-  if (config.shards > 1) metrics.l1_shards = st.l1;
-  metrics.l2 = st.l2;
-  metrics.compute = st.compute;
-  metrics.crash_handoffs = st.crash_handoffs;
-  metrics.crash_killed_tasks = st.crash_killed_tasks;
-  metrics.redo_sec_total = st.redo_sec_total;
-  metrics.redo_bytes_total = st.redo_bytes_total;
-  metrics.proxy_busy_sec = metrics.compute.busy_sec();
-  metrics.fetch_parse_sec = metrics.compute.fetch_parse_sec();
-  return metrics;
 }
 
 }  // namespace parcel::fleet

@@ -23,12 +23,14 @@
 // inside the session simulation and is deliberately not added twice
 // (DESIGN.md §10).
 //
-// ISSUE 7 adds a streaming mode for million-session fleets: per-session
-// results are folded into core::StreamingStats sketches the moment each
-// micro-simulation completes (never stored), and the macro timeline is
-// partitioned into provably non-interacting epochs (epoch_plan.hpp) that
-// run concurrently on ParallelRunner — with fleet metrics still bitwise
-// identical for any --jobs value.
+// Both modes share one path: every admitted session is folded into
+// core::StreamingStats sketches and exact counters the moment its
+// micro-simulation completes. Exact mode runs one serial epoch and also
+// keeps each client's result (FleetMetrics::clients), from which it takes
+// exact percentiles. Streaming mode keeps nothing per client, and when
+// provably safe it partitions the macro timeline into non-interacting
+// epochs (epoch_plan.hpp) that run concurrently on ParallelRunner. Fleet
+// metrics stay bitwise identical for any --jobs value in both modes.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +46,13 @@
 
 namespace parcel::fleet {
 
-/// One client of the fleet, fully described by value. Normally derived by
-/// derive_clients(); the low-level overload of run_fleet accepts explicit
-/// specs so regression tests can mirror the single-client harness's exact
-/// seed derivation.
+/// One client of the fleet, fully described by value (derive_clients).
+/// Its session is ExperimentRunner::run(scheme, *corpus[page_index],
+/// config), exactly as the fleet runs it.
 struct ClientSpec {
-  int client = 0;
   std::size_t page_index = 0;
   core::Scheme scheme = core::Scheme::kParcelInd;
   util::TimePoint arrival;
-  /// Weighted-fair share under QueuePolicy::kWeightedFair.
-  double weight = 1.0;
   core::RunConfig config;
 };
 
@@ -127,14 +125,12 @@ struct FleetConfig {
   /// requires shards > 1 (validate()).
   sim::FaultPlan shard_faults;
 
-  /// Streaming aggregation (ISSUE 7): fold every admitted session into
-  /// sketches and running sums as it completes instead of materializing
-  /// per-client results — FleetMetrics.clients stays empty, memory stays
-  /// bounded in K, and the macro timeline runs epoch-parallel whenever
-  /// the config is provably interaction-free (epoch_plan.hpp). The
-  /// percentile fields are then sketch-backed with the documented
-  /// LogHistogram relative-error bound; integer counters and store/
-  /// compute stats remain exact.
+  /// Streaming aggregation: keep no per-client results —
+  /// FleetMetrics.clients stays empty, memory stays bounded in K, and the
+  /// macro timeline runs epoch-parallel whenever the config is provably
+  /// interaction-free (epoch_plan.hpp). The percentile fields are then
+  /// sketch-backed with the documented LogHistogram relative-error bound;
+  /// integer counters and store/compute stats are exact in both modes.
   bool streaming = false;
   /// Minimum sessions per epoch in streaming mode (the planner also
   /// enforces >= K/1024 so epoch-merge state is O(1) in K).
@@ -147,12 +143,11 @@ struct FleetConfig {
   void validate() const;
 };
 
-/// SoA columns for the fleet's per-client bookkeeping (ISSUE 7
-/// satellite): the macro epoch loop walks parallel arrays instead of
-/// ClientSpec records — 36 bytes per client instead of a full embedded
-/// RunConfig, and each column scans linearly. Derived fleets are uniform
-/// in scheme/weight (config.scheme, weight 1.0), so only the per-client
-/// varying fields get columns; index k is the client id.
+/// The fleet's one client representation: SoA columns the macro loop
+/// walks linearly — 28 bytes per client instead of a full embedded
+/// RunConfig. Fleets are uniform in scheme (config.scheme) and WFQ weight
+/// (1.0), so only the per-client varying fields get columns; index k is
+/// the client id.
 struct ClientColumns {
   std::vector<double> arrival_sec;
   std::vector<std::uint32_t> page_index;
@@ -161,8 +156,9 @@ struct ClientColumns {
   [[nodiscard]] std::size_t size() const { return arrival_sec.size(); }
 };
 
-/// Column-form equivalent of derive_clients: identical arrival process
-/// and seed derivation, ~30x smaller per client.
+/// Derive the K clients from the config: arrival times from the seeded
+/// arrival process, pages round-robin over the corpus (the repeated-corpus
+/// warming pattern), per-client seeds from base.seed.
 [[nodiscard]] ClientColumns derive_client_columns(const FleetConfig& config,
                                                   std::size_t corpus_pages);
 
@@ -179,8 +175,7 @@ struct FleetClientResult {
   util::Duration olt = util::Duration::zero();
   util::Duration tlt = util::Duration::zero();
   /// Crash-handoff accounting (ISSUE 8; zero unless this client was
-  /// migrated off a crashed shard). The same numbers are stamped onto
-  /// `session` (shard_handoffs / handoff_recovery / redo_*).
+  /// migrated off a crashed shard).
   int handoffs = 0;
   util::Duration recovery = util::Duration::zero();
   double redo_sec = 0.0;
@@ -191,7 +186,8 @@ struct FleetClientResult {
 };
 
 struct FleetMetrics {
-  std::vector<FleetClientResult> clients;  // indexed by client id
+  /// Exact mode only (empty when streaming): indexed by client id.
+  std::vector<FleetClientResult> clients;
   int admitted = 0;
   int shed = 0;
   [[nodiscard]] double shed_rate() const {
@@ -201,7 +197,9 @@ struct FleetMetrics {
   }
 
   /// Distributions over admitted clients (fleet-adjusted OLT, queueing
-  /// delay), in seconds.
+  /// delay), in seconds: exact interpolated percentiles over `clients` in
+  /// exact mode, nearest-rank sketch quantiles (within
+  /// LogHistogram::relative_error_bound()) when streaming.
   double olt_p50 = 0.0, olt_p95 = 0.0, olt_p99 = 0.0;
   double wait_p50 = 0.0, wait_p95 = 0.0, wait_p99 = 0.0;
 
@@ -248,12 +246,11 @@ struct FleetMetrics {
   std::uint64_t direct_fetches = 0;
   std::uint64_t degraded_sessions = 0;
 
-  // ---- Streaming-mode surface (FleetConfig::streaming; zeroed in exact
-  // mode). The percentile fields above are filled from these sketches
-  // (nearest-rank, within LogHistogram::relative_error_bound()); clients
-  // stays empty by design.
-  bool streaming = false;
-  /// Epoch decomposition actually used (1 when degraded or exact).
+  // ---- Epoch plan and sketches, filled in both modes (every admitted
+  // session folds through the same sink).
+  bool streaming = false;  // FleetConfig::streaming
+  /// Epoch decomposition actually used (1 when serial: exact mode, or a
+  /// degraded or unsplittable streaming plan).
   int epochs = 0;
   bool epoch_parallel = false;
   /// Why the epoch planner degraded to one serial epoch ("" otherwise).
@@ -265,24 +262,18 @@ struct FleetMetrics {
   core::StreamingStats wait_stats;    // per-client worst queue wait, s
   core::StreamingStats energy_stats;  // per-session radio energy, joules
   /// Per-migrated-session recovery time, seconds (empty unless a sharded
-  /// streaming run crashed — which also degrades the plan to serial).
+  /// run crashed — which also degrades a streaming plan to serial).
   core::StreamingStats recovery_stats;
 };
 
-/// Derive the K client specs from the config: arrival times from the
-/// seeded exponential process, pages round-robin over the corpus (the
-/// repeated-corpus warming pattern), per-client seeds from base.seed.
+/// Record form of derive_client_columns, one ClientSpec per client, for
+/// callers that re-run individual fleet sessions.
 [[nodiscard]] std::vector<ClientSpec> derive_clients(
     const FleetConfig& config, std::size_t corpus_pages);
 
 /// Run the fleet: macro-simulate admission/store/queueing, micro-simulate
-/// every admitted session (fanned across `config.jobs` workers), merge.
+/// every admitted session (fanned across `config.jobs` workers), fold.
 [[nodiscard]] FleetMetrics run_fleet(
     const std::vector<const web::WebPage*>& corpus, const FleetConfig& config);
-
-/// Low-level entry: explicit specs (page_index must be < corpus.size()).
-[[nodiscard]] FleetMetrics run_fleet(
-    const std::vector<const web::WebPage*>& corpus,
-    const std::vector<ClientSpec>& specs, const FleetConfig& config);
 
 }  // namespace parcel::fleet

@@ -1,7 +1,5 @@
 #include "web/parse_cache.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -12,14 +10,8 @@ namespace parcel::web {
 
 namespace {
 
-bool initial_enabled() {
-  // parcel-lint: allow(nondet-getenv) kill-switch read once at startup; cache on/off is bitwise-identical by test, so replay is unaffected
-  const char* env = std::getenv("PARCEL_PARSE_CACHE");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{initial_enabled()};
+  static std::atomic<bool> flag{true};
   return flag;
 }
 

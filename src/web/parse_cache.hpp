@@ -50,9 +50,8 @@ class ParseCache {
   /// Process-wide cache instance shared by every engine.
   static ParseCache& instance();
 
-  /// Global toggle (default on; PARCEL_PARSE_CACHE=0 in the environment
-  /// disables it at startup). With the cache off every call scans fresh —
-  /// results are bitwise identical either way.
+  /// Global toggle (default on). With the cache off every call scans
+  /// fresh — results are bitwise identical either way.
   static void set_enabled(bool enabled);
   [[nodiscard]] static bool enabled();
 

@@ -1,7 +1,7 @@
 // ctrl:: closed-loop adaptive bundling (ISSUE 10): estimator arithmetic,
 // controller law, fade profiles, strict bench parsers, fleet arrival
-// processes, page mixes, and the end-to-end determinism/kill-switch
-// contracts (jobs fan-out bitwise identity, PARCEL_CTRL=0 byte pin).
+// processes, page mixes, and the end-to-end determinism contract (jobs
+// fan-out bitwise identity).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -414,13 +414,14 @@ TEST(BenchCli, ParseFadeRejectsMalformedSpecs) {
   }
 }
 
-TEST(BenchCli, ParseOnOffIsStrict) {
-  EXPECT_TRUE(bench::parse_on_off("--ctrl", "on"));
-  EXPECT_FALSE(bench::parse_on_off("--ctrl", "off"));
-  for (const char* bad : {"", "ON", "Off", "1", "0", "true", "yes"}) {
-    EXPECT_THROW(bench::parse_on_off("--ctrl", bad), std::invalid_argument)
-        << bad;
-  }
+TEST(BenchCli, UnknownFlagExitsTwoNamingTheFlag) {
+  // A typo must not silently run the default (--shard for --shards).
+  char prog[] = "bench";
+  char flag[] = "--shard";
+  char value[] = "4";
+  char* argv[] = {prog, flag, value, nullptr};
+  EXPECT_EXIT(bench::parse_options(3, argv), testing::ExitedWithCode(2),
+              "unknown flag '--shard'");
 }
 
 TEST(BenchCli, ParsePageMixRoundTripsToStringNames) {
@@ -608,7 +609,6 @@ core::RunConfig adaptive_config() {
 }
 
 TEST(AdaptiveE2E, ControllerRetunesUnderFade) {
-  ctrl::set_ctrl_enabled(true);
   const core::RunResult r = core::ExperimentRunner::run(
       core::Scheme::kParcelAdaptive, ctrl_page(), adaptive_config());
   EXPECT_TRUE(r.ok);
@@ -631,7 +631,6 @@ void expect_identical(const core::RunResult& a, const core::RunResult& b) {
 }
 
 TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdentical) {
-  ctrl::set_ctrl_enabled(true);
   std::vector<core::ExperimentTask> tasks;
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     core::RunConfig cfg = adaptive_config();
@@ -648,7 +647,6 @@ TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdentical) {
 }
 
 TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdenticalUnderFaults) {
-  ctrl::set_ctrl_enabled(true);
   core::RunConfig cfg = adaptive_config();
   cfg.testbed.faults.loss_probability = 0.05;
   cfg.testbed.faults.blackouts.push_back(
@@ -662,23 +660,6 @@ TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdenticalUnderFaults) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], fanned[i]);
   }
-}
-
-TEST(AdaptiveE2E, KillSwitchPinsTraceToFixedScheme) {
-  const core::RunConfig cfg = adaptive_config();
-  ctrl::set_ctrl_enabled(false);
-  const core::RunResult off = core::ExperimentRunner::run(
-      core::Scheme::kParcelAdaptive, ctrl_page(), cfg);
-  ctrl::set_ctrl_enabled(true);
-  const core::RunResult fixed = core::ExperimentRunner::run(
-      core::Scheme::kParcel512K, ctrl_page(), cfg);
-  // With the loop severed, kParcelAdaptive is exactly the fixed 512K
-  // threshold scheme: same trace bytes, no controller telemetry.
-  EXPECT_EQ(off.ctrl_retunes, 0u);
-  EXPECT_EQ(off.ctrl_threshold, 0);
-  EXPECT_EQ(off.trace.serialize(), fixed.trace.serialize());
-  EXPECT_EQ(off.olt.sec(), fixed.olt.sec());
-  EXPECT_EQ(off.radio.total.j(), fixed.radio.total.j());
 }
 
 }  // namespace

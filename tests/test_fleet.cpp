@@ -16,6 +16,7 @@
 #include "fleet/shared_store.hpp"
 #include "replay/replay_store.hpp"
 #include "sim/scheduler.hpp"
+#include "util/stats.hpp"
 #include "web/generator.hpp"
 #include "web/object.hpp"
 
@@ -355,6 +356,10 @@ TEST(FleetRunner, DeriveClientsIsDeterministicAndRoundRobin) {
   bad.clients = 0;
   EXPECT_THROW(derive_clients(bad, 2), std::invalid_argument);
   EXPECT_THROW(derive_clients(cfg, 0), std::invalid_argument);
+  EXPECT_THROW(run_fleet({}, cfg), std::invalid_argument);
+  bad = cfg;
+  bad.epoch_min_sessions = 0;
+  EXPECT_THROW(run_fleet(test_corpus(), bad), std::invalid_argument);
 }
 
 TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
@@ -381,59 +386,29 @@ TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
   // With zero waits the fleet-adjusted timeline IS the session timeline.
   EXPECT_EQ(r.olt.sec(), expected.olt.sec());
   EXPECT_EQ(r.tlt.sec(), expected.tlt.sec());
-}
 
-TEST(FleetRunner, ExplicitSpecsMirrorRunRoundsByteForByte) {
-  // Same grid, two harnesses: run_rounds' (round x scheme) sweep vs a
-  // fleet of explicit specs using run_rounds' exact seed derivation.
-  std::vector<core::Scheme> schemes{core::Scheme::kDir,
-                                    core::Scheme::kParcelInd};
-  core::RoundsConfig rounds_cfg;
-  rounds_cfg.rounds = 2;
-  rounds_cfg.discard_first_round = false;
-  rounds_cfg.base.seed = 21;
-  core::RoundsOutcome rounds =
-      core::run_rounds(test_page(), schemes, rounds_cfg);
-  ASSERT_EQ(rounds.rounds_kept, 2);
-
-  FleetConfig cfg;
-  cfg.compute = ProxyComputeConfig::idle();
-  cfg.base = rounds_cfg.base;
-  std::vector<ClientSpec> specs;
-  for (int round = 0; round < rounds_cfg.rounds; ++round) {
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      ClientSpec spec;
-      spec.client = static_cast<int>(specs.size());
-      spec.page_index = 0;
-      spec.scheme = schemes[i];
-      spec.arrival = util::TimePoint::origin() +
-                     util::Duration::seconds(static_cast<double>(round));
-      spec.config = rounds_cfg.base;
-      spec.config.seed = rounds_cfg.base.seed +
-                         1000003ULL * static_cast<std::uint64_t>(round) +
-                         97ULL * i;
-      spec.config.testbed.fade_seed =
-          rounds_cfg.base.testbed.fade_seed +
-          7919ULL * static_cast<std::uint64_t>(round) + 31ULL * i + 1;
-      specs.push_back(std::move(spec));
-    }
-  }
-  std::vector<const web::WebPage*> corpus{&test_page()};
-  FleetMetrics metrics = run_fleet(corpus, specs, cfg);
+  // An idle K=4 fleet: every client's session is exactly the harness run
+  // of its derived spec — the store warming clients 2-3 see is proxy
+  // work, invisible to the session.
+  cfg.clients = 4;
+  cfg.jobs = 2;
+  metrics = run_fleet(test_corpus(), cfg);
+  std::vector<ClientSpec> specs = derive_clients(cfg, test_corpus().size());
   ASSERT_EQ(metrics.admitted, 4);
-
-  for (int round = 0; round < rounds_cfg.rounds; ++round) {
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      SCOPED_TRACE("round " + std::to_string(round) + " " +
-                   core::to_string(schemes[i]));
-      const core::RunResult& expected =
-          rounds.series.at(schemes[i]).runs[static_cast<std::size_t>(round)];
-      const core::RunResult& actual =
-          metrics
-              .clients[static_cast<std::size_t>(round) * schemes.size() + i]
-              .session;
-      expect_identical(actual, expected);
-    }
+  ASSERT_EQ(metrics.clients.size(), specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    SCOPED_TRACE("client " + std::to_string(k));
+    const FleetClientResult& c = metrics.clients[k];
+    core::RunResult want = core::ExperimentRunner::run(
+        specs[k].scheme, *test_corpus()[specs[k].page_index], specs[k].config);
+    EXPECT_EQ(c.client, static_cast<int>(k));
+    EXPECT_EQ(c.page_index, specs[k].page_index);
+    EXPECT_EQ(c.arrival.sec(), specs[k].arrival.sec());
+    EXPECT_EQ(c.queue_wait.sec(), 0.0);
+    expect_identical(c.session, want);
+    EXPECT_EQ(c.session.events_executed, want.events_executed);
+    EXPECT_EQ(c.session.trace.serialize(), want.trace.serialize());
+    EXPECT_EQ(c.olt.sec(), want.olt.sec());
   }
 }
 
@@ -533,12 +508,12 @@ double nearest_rank(std::vector<double> values, double pct) {
   return values[rank - 1];
 }
 
-// Full bitwise comparison of two streaming-mode runs: integer counters,
-// sketches (integer bin counts), and double sums — the fold order is
-// fixed by epoch index, so equality is exact, not approximate.
-void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_TRUE(a.streaming);
-  EXPECT_TRUE(b.streaming);
+// Bitwise comparison of everything the shared aggregation sink folds:
+// integer counters, sketches (integer bin counts), and double sums. The
+// fold order is fixed (client order within an epoch, epoch order across
+// epochs), so equality is exact, not approximate — across --jobs and
+// across exact vs streaming mode on the same serial plan.
+void expect_sink_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.epochs, b.epochs);
   EXPECT_EQ(a.epoch_parallel, b.epoch_parallel);
   EXPECT_EQ(a.admitted, b.admitted);
@@ -548,10 +523,7 @@ void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.tlt_stats, b.tlt_stats);
   EXPECT_EQ(a.wait_stats, b.wait_stats);
   EXPECT_EQ(a.energy_stats, b.energy_stats);
-  EXPECT_EQ(a.olt_p50, b.olt_p50);
-  EXPECT_EQ(a.olt_p95, b.olt_p95);
-  EXPECT_EQ(a.olt_p99, b.olt_p99);
-  EXPECT_EQ(a.wait_p95, b.wait_p95);
+  EXPECT_EQ(a.recovery_stats, b.recovery_stats);
   EXPECT_EQ(a.energy_j_total, b.energy_j_total);
   EXPECT_EQ(a.proxy_busy_sec, b.proxy_busy_sec);
   EXPECT_EQ(a.fetch_parse_sec, b.fetch_parse_sec);
@@ -561,7 +533,36 @@ void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.store.bytes_saved, b.store.bytes_saved);
   EXPECT_EQ(a.store.bytes_stored, b.store.bytes_stored);
   EXPECT_EQ(a.compute.completed, b.compute.completed);
+  EXPECT_EQ(a.compute.fetch_busy_sec, b.compute.fetch_busy_sec);
+  EXPECT_EQ(a.compute.parse_busy_sec, b.compute.parse_busy_sec);
+  EXPECT_EQ(a.compute.bundle_busy_sec, b.compute.bundle_busy_sec);
+  EXPECT_EQ(a.compute.transfer_busy_sec, b.compute.transfer_busy_sec);
+  EXPECT_EQ(a.compute.crash_killed, b.compute.crash_killed);
   EXPECT_EQ(a.compute.last_finish.sec(), b.compute.last_finish.sec());
+  EXPECT_EQ(a.l2.hits, b.l2.hits);
+  EXPECT_EQ(a.l2.misses, b.l2.misses);
+  EXPECT_EQ(a.crash_handoffs, b.crash_handoffs);
+  EXPECT_EQ(a.crash_killed_tasks, b.crash_killed_tasks);
+  EXPECT_EQ(a.redo_sec_total, b.redo_sec_total);
+  EXPECT_EQ(a.redo_bytes_total, b.redo_bytes_total);
+  EXPECT_EQ(a.recovery_sec_total, b.recovery_sec_total);
+  EXPECT_EQ(a.recovery_sec_max, b.recovery_sec_max);
+  EXPECT_EQ(a.fault_retransmits, b.fault_retransmits);
+  EXPECT_EQ(a.fault_drops, b.fault_drops);
+  EXPECT_EQ(a.fault_deferrals, b.fault_deferrals);
+  EXPECT_EQ(a.direct_fetches, b.direct_fetches);
+  EXPECT_EQ(a.degraded_sessions, b.degraded_sessions);
+}
+
+// Two streaming runs agree on the sink and on the sketch-read quantiles.
+void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
+  EXPECT_TRUE(a.streaming);
+  EXPECT_TRUE(b.streaming);
+  expect_sink_identical(a, b);
+  EXPECT_EQ(a.olt_p50, b.olt_p50);
+  EXPECT_EQ(a.olt_p95, b.olt_p95);
+  EXPECT_EQ(a.olt_p99, b.olt_p99);
+  EXPECT_EQ(a.wait_p95, b.wait_p95);
 }
 
 TEST(FleetStreaming, MatchesExactModeWithinDocumentedBound) {
@@ -657,6 +658,43 @@ TEST(FleetStreaming, AdmissionBoundsDegradeToOneSerialEpoch) {
   EXPECT_EQ(stream.store.misses, exact.store.misses);
 }
 
+TEST(FleetStreaming, SerialPlanExactAndStreamingFoldIdentically) {
+  // One fleet path: on a serial plan (admission bounds forbid a split)
+  // exact and streaming mode run the same timeline and fold every
+  // session through the same sink, so everything they share — sketches
+  // included — agrees to the bit. Exact mode additionally keeps the
+  // per-client results and reports exact percentiles.
+  FleetConfig cfg;
+  cfg.clients = 8;
+  cfg.mean_interarrival = util::Duration::millis(1);
+  cfg.compute.workers = 1;
+  cfg.compute.max_queue = 48;
+  cfg.base.seed = 19;
+  cfg.jobs = 2;
+
+  FleetMetrics exact = run_fleet(test_corpus(), cfg);
+  cfg.streaming = true;
+  FleetMetrics stream = run_fleet(test_corpus(), cfg);
+
+  EXPECT_FALSE(exact.streaming);
+  EXPECT_EQ(exact.epochs, 1);
+  EXPECT_EQ(exact.clients.size(), 8u);
+  EXPECT_TRUE(stream.clients.empty());
+  EXPECT_NE(stream.epoch_degrade_reason, "");
+  // Non-vacuous: sessions were folded, some were shed, and queues formed.
+  EXPECT_GT(exact.olt_stats.count(), 0u);
+  EXPECT_GT(exact.shed, 0);
+  EXPECT_GT(exact.wait_stats.max(), 0.0);
+  expect_sink_identical(exact, stream);
+
+  // Exact percentiles come from the kept clients, not the sketch.
+  std::vector<double> olts;
+  for (const FleetClientResult& r : exact.clients) {
+    if (!r.shed) olts.push_back(r.olt.sec());
+  }
+  EXPECT_EQ(exact.olt_p95, util::percentile(olts, 95.0));
+}
+
 TEST(FleetStreaming, BlackoutsDegradeToOneSerialEpoch) {
   FleetConfig cfg;
   cfg.clients = 4;
@@ -735,16 +773,6 @@ TEST(FleetStreaming, EpochPartitionPropertyAcrossArrivalRates) {
       EXPECT_EQ(m.epochs, static_cast<int>(plan.epochs.size()));
     }
   }
-}
-
-TEST(FleetStreaming, StreamingRejectsExplicitSpecs) {
-  FleetConfig cfg;
-  cfg.streaming = true;
-  std::vector<ClientSpec> specs(1);
-  EXPECT_THROW(run_fleet(test_corpus(), specs, cfg), std::invalid_argument);
-  FleetConfig bad = cfg;
-  bad.epoch_min_sessions = 0;
-  EXPECT_THROW(run_fleet(test_corpus(), bad), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
