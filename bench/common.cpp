@@ -211,10 +211,23 @@ const char* flag_value(const char* flag, int argc, char** argv, int& i) {
 
 }  // namespace
 
+std::string usage(const char* prog) {
+  return std::string("usage: ") + prog +
+         " [--pages N] [--rounds N] [--jobs N] [--quick] [--clients N]"
+         " [--workers N] [--shards N] [--l2-cost MS_PER_MIB]"
+         " [--stream-clients N] [--arrival-seed N]"
+         " [--fade off|ar1|KIND[:key=val,...]]"
+         " [--mix alexa34|ad-heavy|spa|large-object] [--faults SPEC|off]"
+         " [--help]\n";
+}
+
 BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pages") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(usage(argv[0]).c_str(), stdout);
+      std::exit(0);
+    } else if (std::strcmp(argv[i], "--pages") == 0) {
       opts.pages =
           parse_positive_or_die("--pages", flag_value("--pages", argc, argv, i));
     } else if (std::strcmp(argv[i], "--rounds") == 0) {

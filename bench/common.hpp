@@ -77,13 +77,16 @@ struct BenchOptions {
 };
 
 /// Parse --pages N / --rounds N / --jobs N / --clients N / --workers N /
-/// --shards N / --l2-cost MS_PER_MIB / --arrival-seed N / --quick /
-/// --faults SPEC / --fade SPEC / --mix NAME from argv (see
-/// sim::FaultPlan::parse for the fault grammar; "off" disables). The
-/// PARCEL_FAULT_SEED environment variable overrides the plan's seed.
-/// Malformed values and unknown flags exit 2 with a clear error on
-/// stderr.
+/// --shards N / --l2-cost MS_PER_MIB / --stream-clients N /
+/// --arrival-seed N / --quick / --faults SPEC / --fade SPEC / --mix NAME
+/// from argv (see sim::FaultPlan::parse for the fault grammar; "off"
+/// disables). The PARCEL_FAULT_SEED environment variable overrides the
+/// plan's seed. --help prints usage() to stdout and exits 0. Malformed
+/// values and unknown flags exit 2 with a clear error on stderr.
 BenchOptions parse_options(int argc, char** argv);
+
+/// The one-line usage text --help prints: every flag parse_options takes.
+std::string usage(const char* prog);
 
 /// Strict flag-value parsers behind parse_options, exposed so tests can
 /// assert the reject-garbage contract without spawning a process. All

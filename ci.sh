@@ -172,8 +172,10 @@ echo "==> Streaming fleet smoke (K=100000: sketches, epoch-parallel, RSS)"
 # The streaming leg runs K=100,000 sessions at --jobs 1 and 4, asserts
 # bitwise metric identity in-process, and checks the peak-RSS ceiling
 # (sub-linear memory in K); the bench exits nonzero on any violation, and
-# the awk pass re-asserts the recorded flags from the JSON.
-(cd build-ci/bench && ./bench_fleet_scaling --clients 4 --stream-clients 100000)
+# the awk pass re-asserts the recorded flags from the JSON. --clients 16
+# gives the knee three levels (4, 8, 16); with one level its knee and
+# shedding gates cannot pass.
+(cd build-ci/bench && ./bench_fleet_scaling --clients 16 --stream-clients 100000)
 awk -F': ' '/"identical_across_jobs"/ { ident = ($2 ~ /true/) }
             /"epoch_parallel":/ { par = ($2 ~ /true/) }
             /"epochs"/ { epochs = $2 + 0 }

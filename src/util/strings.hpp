@@ -14,11 +14,15 @@ namespace parcel::util {
                                                   char delim);
 [[nodiscard]] bool starts_with_ignore_case(std::string_view s,
                                            std::string_view prefix);
+/// Case-insensitive equality under ASCII folding: only A-Z fold, bytes
+/// >= 0x80 never do, whatever the process locale.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 [[nodiscard]] std::string to_lower(std::string_view s);
 
 /// Find the next occurrence of `needle` in `hay` at or after `pos`,
-/// case-insensitively. Returns npos if absent.
+/// case-insensitively (ASCII folding only, like iequals). Returns npos if
+/// absent. An empty needle matches at `pos` when `pos <= hay.size()`.
+/// Linear in the searched span: memchr over the needle's first byte.
 [[nodiscard]] std::size_t ifind(std::string_view hay, std::string_view needle,
                                 std::size_t pos = 0);
 

@@ -1,5 +1,7 @@
 #include "web/css.hpp"
 
+#include <algorithm>
+
 #include "util/strings.hpp"
 
 namespace parcel::web {
@@ -32,7 +34,7 @@ std::vector<Reference> MiniCss::scan(std::string_view css_raw) {
     while ((c = cleaned.find("/*", c)) != std::string::npos) {
       std::size_t end = cleaned.find("*/", c + 2);
       std::size_t stop = end == std::string::npos ? cleaned.size() : end + 2;
-      for (std::size_t i = c; i < stop; ++i) cleaned[i] = ' ';
+      std::fill(cleaned.begin() + c, cleaned.begin() + stop, ' ');
       c = stop;
     }
     css = cleaned;
@@ -42,11 +44,19 @@ std::vector<Reference> MiniCss::scan(std::string_view css_raw) {
         static_cast<std::size_t>(target.data() - css.data()), target.size());
   };
 
+  // Each token's next match is cached and searched for again only once
+  // `pos` has passed it: ifind returns the first match at or after its
+  // start, so a cached match at or past `pos` is still the first one.
+  // Searching both from every `pos` would rescan the tail once per url(
+  // on a sheet with no @import, which is quadratic.
+  constexpr std::size_t npos = std::string_view::npos;
   std::vector<Reference> refs;
   std::size_t pos = 0;
+  std::size_t imp = util::ifind(css, "@import");
+  std::size_t url = util::ifind(css, "url(");
   while (pos < css.size()) {
-    std::size_t imp = util::ifind(css, "@import", pos);
-    std::size_t url = util::ifind(css, "url(", pos);
+    if (imp != npos && imp < pos) imp = util::ifind(css, "@import", pos);
+    if (url != npos && url < pos) url = util::ifind(css, "url(", pos);
     if (imp != std::string_view::npos && (url == std::string_view::npos || imp < url)) {
       std::size_t semi = css.find(';', imp);
       if (semi == std::string_view::npos) break;

@@ -60,9 +60,21 @@ Bytes sample_size(Rng& rng, ObjectType type) {
 std::string pad_block(std::string_view open, std::string_view fill,
                       std::string_view close, std::size_t target) {
   std::string out(open);
-  while (out.size() + close.size() < target) {
-    std::size_t need = target - close.size() - out.size();
-    out.append(fill.substr(0, std::min(fill.size(), need)));
+  if (out.size() + close.size() < target) {
+    // `fill` repeated, the last copy cut short, up to target - close.size().
+    // Doubling the run already written takes O(log n) copies, not one
+    // append per fill (hundreds of thousands on a multi-MB object).
+    const std::size_t len = target - close.size() - open.size();
+    out.reserve(target);
+    out.resize(open.size() + len);
+    char* run = out.data() + open.size();
+    std::size_t done = std::min(fill.size(), len);
+    std::copy_n(fill.data(), done, run);
+    while (done < len) {
+      const std::size_t n = std::min(done, len - done);
+      std::copy_n(run, n, run + done);
+      done += n;
+    }
   }
   out += close;
   return out;

@@ -36,8 +36,14 @@ double parse_number(std::string_view s, std::string_view stmt) {
 
 JsProgram MiniJs::run(std::string_view code) {
   JsProgram prog;
-  for (std::string_view raw : util::split(code, '\n')) {
-    std::string_view line = util::trim(raw);
+  // Line walk over `code` in place; splits exactly where util::split(code,
+  // '\n') would, so a trailing newline or an empty input yields a final
+  // empty line (skipped below).
+  for (std::size_t start = 0; start <= code.size();) {
+    std::size_t nl = code.find('\n', start);
+    if (nl == std::string_view::npos) nl = code.size();
+    std::string_view line = util::trim(code.substr(start, nl - start));
+    start = nl + 1;
     if (line.empty() || line.starts_with("//")) continue;
     // Statement parsing cost: even boilerplate costs a little.
     prog.work_units += 0.01;

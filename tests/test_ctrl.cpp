@@ -424,6 +424,24 @@ TEST(BenchCli, UnknownFlagExitsTwoNamingTheFlag) {
               "unknown flag '--shard'");
 }
 
+TEST(BenchCli, HelpPrintsUsageNamingEveryFlagAndExitsZero) {
+  char prog[] = "bench";
+  char help[] = "--help";
+  char* argv[] = {prog, help, nullptr};
+  EXPECT_EXIT(bench::parse_options(2, argv), testing::ExitedWithCode(0), "");
+  const std::string text = bench::usage("bench");
+  EXPECT_EQ(text.rfind("usage: bench ", 0), 0u) << text;
+  for (const char* flag :
+       {"--pages", "--rounds", "--jobs", "--quick", "--clients", "--workers",
+        "--shards", "--l2-cost", "--stream-clients", "--arrival-seed",
+        "--fade", "--mix", "--faults", "--help"}) {
+    const std::string open = std::string("[") + flag;
+    EXPECT_TRUE(text.find(open + " ") != std::string::npos ||
+                text.find(open + "]") != std::string::npos)
+        << flag;
+  }
+}
+
 TEST(BenchCli, ParsePageMixRoundTripsToStringNames) {
   for (web::PageMix mix :
        {web::PageMix::kAlexa34, web::PageMix::kAdHeavy, web::PageMix::kSpa,

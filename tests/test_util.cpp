@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -161,6 +163,96 @@ TEST(Strings, CaseInsensitiveHelpers) {
   EXPECT_EQ(ifind("xxFooBar", "foobar"), 2u);
   EXPECT_EQ(ifind("abc", "zzz"), std::string_view::npos);
   EXPECT_EQ(to_lower("AbC"), "abc");
+}
+
+// Reference oracle: the original byte-wise kernels, case-folded with
+// std::tolower in the "C" locale (the process never sets another).
+bool oracle_iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::size_t oracle_ifind(std::string_view hay, std::string_view needle,
+                         std::size_t pos) {
+  if (needle.empty()) return pos <= hay.size() ? pos : std::string_view::npos;
+  if (hay.size() < needle.size()) return std::string_view::npos;
+  for (std::size_t i = pos; i + needle.size() <= hay.size(); ++i) {
+    if (oracle_iequals(hay.substr(i, needle.size()), needle)) return i;
+  }
+  return std::string_view::npos;
+}
+
+TEST(Strings, IfindContractEdges) {
+  constexpr auto npos = std::string_view::npos;
+  EXPECT_EQ(ifind("", ""), 0u);
+  EXPECT_EQ(ifind("abc", "", 3), 3u);
+  EXPECT_EQ(ifind("abc", "", 4), npos);
+  EXPECT_EQ(ifind("", "a"), npos);
+  EXPECT_EQ(ifind("ab", "abc"), npos);
+  EXPECT_EQ(ifind("xxEND", "end"), 2u);
+  EXPECT_EQ(ifind("xxEND", "end", 2), 2u);
+  EXPECT_EQ(ifind("xxEND", "end", 3), npos);  // pos > size - n
+  EXPECT_EQ(ifind("xxEND", "d", 5), npos);    // pos == size
+  EXPECT_EQ(ifind("xxEND", "d", 99), npos);   // pos > size
+  EXPECT_EQ(ifind("aAaAb", "AAB"), 2u);       // overlapping candidates
+  EXPECT_EQ(ifind("1@import", "@IMPORT"), 1u);  // caseless first byte
+  // Bytes >= 0x80 never fold, whatever their Latin-1 reading.
+  EXPECT_FALSE(iequals("\xC9", "\xE9"));
+  EXPECT_EQ(ifind("x\xC9t\xE9", "\xE9"), 3u);
+  EXPECT_EQ(to_lower("\xC9" "A@Z["), "\xC9" "a@z[");
+}
+
+TEST(Strings, IfindAndIequalsMatchByteWiseOracle) {
+  // Seeded sweep over all 256 byte values. Half the draws come from a few
+  // letters in both cases (plus a Latin-1 pair), so candidates and
+  // near-misses are dense.
+  Rng rng(20260415);
+  auto pick = [&](std::size_t hi) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(hi)));
+  };
+  auto draw_byte = [&]() -> char {
+    if (pick(1) == 0) return static_cast<char>(pick(255));
+    return "aAbB@\xC1\xE1"[pick(6)];
+  };
+  auto draw = [&](std::size_t max_len) {
+    std::string s(pick(max_len), ' ');
+    for (char& c : s) c = draw_byte();
+    return s;
+  };
+  auto flip_case = [&](std::string s) {
+    for (char& c : s) {
+      if (std::isalpha(static_cast<unsigned char>(c)) && pick(1) == 1) {
+        c = static_cast<char>(c ^ 0x20);
+      }
+    }
+    return s;
+  };
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string hay = draw(40);
+    const std::string needle = draw(4);
+    // Plant a recased needle: at the very end a third of the time.
+    if (!needle.empty() && needle.size() <= hay.size() && pick(1) == 1) {
+      const std::size_t last = hay.size() - needle.size();
+      hay.replace(pick(2) == 0 ? last : pick(last), needle.size(),
+                  flip_case(needle));
+    }
+    const std::size_t pos = pick(hay.size() + 2);  // up to size + 2
+    ASSERT_EQ(ifind(hay, needle, pos), oracle_ifind(hay, needle, pos))
+        << "iter " << iter << " pos " << pos;
+    ASSERT_EQ(ifind(hay, needle), oracle_ifind(hay, needle, 0)) << iter;
+    std::string other = flip_case(hay);
+    if (pick(7) == 0 && !other.empty()) other.back() = draw_byte();
+    ASSERT_EQ(iequals(hay, other), oracle_iequals(hay, other)) << iter;
+    const std::string_view head = std::string_view(hay).substr(0, needle.size());
+    ASSERT_EQ(iequals(needle, head), oracle_iequals(needle, head)) << iter;
+  }
 }
 
 TEST(Strings, FormatBytes) {

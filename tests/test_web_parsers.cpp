@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "web/css.hpp"
 #include "web/html.hpp"
 #include "web/js.hpp"
@@ -251,6 +253,91 @@ TEST(MiniCss, CommentBetweenDeclarationsWrapsReference) {
   ASSERT_EQ(refs.size(), 2u);
   EXPECT_EQ(refs[0].target, "/keep.png");
   EXPECT_EQ(refs[1].target, "/also.png");
+}
+
+TEST(MiniCss, InterleavedImportsAndUrlsKeepDocumentOrder) {
+  // Each url( before the next @import, an @import url(...) whose url( lies
+  // past a plain url(, and a trailing @import.
+  auto refs = MiniCss::scan(
+      "@import \"a.css\"; .x{background:url(b.png)}\n"
+      "@import url('c.css'); .y{background:URL(\"d.gif\")}\n"
+      "@IMPORT \"e.css\";");
+  ASSERT_EQ(refs.size(), 5u);
+  const char* targets[] = {"a.css", "b.png", "c.css", "d.gif", "e.css"};
+  const ObjectType types[] = {ObjectType::kCss, ObjectType::kImage,
+                              ObjectType::kCss, ObjectType::kImage,
+                              ObjectType::kCss};
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(refs[i].target, targets[i]) << i;
+    EXPECT_EQ(refs[i].expected_type, types[i]) << i;
+  }
+}
+
+TEST(MiniCss, UrlAndSemicolonInsideCommentsAreBlank) {
+  // A comment hides url( and @import; a ';' in a comment does not end an
+  // @import clause; a ')' in a comment does not close a url(. Targets are
+  // the raw text's bytes, so a comment inside one survives in the view.
+  const std::string css =
+      ".a{background:url(/a.png)} /* url(/hidden.png); @import \"no.css\"; */"
+      " @import /* ; */ \"yes.css\";"
+      " .b{background:url(/b.png /* ) */)}"
+      " .c{background:Url(/c/*x*/.png)}";
+  auto refs = MiniCss::scan(css);
+  ASSERT_EQ(refs.size(), 4u);
+  EXPECT_EQ(refs[0].target, "/a.png");
+  EXPECT_EQ(refs[1].target, "yes.css");
+  EXPECT_EQ(refs[1].expected_type, ObjectType::kCss);
+  EXPECT_EQ(refs[2].target, "/b.png");
+  EXPECT_EQ(refs[3].target, "/c/*x*/.png");
+  for (const Reference& r : refs) {
+    EXPECT_GE(r.target.data(), css.data());
+    EXPECT_LE(r.target.data() + r.target.size(), css.data() + css.size());
+  }
+}
+
+TEST(MiniCss, UnterminatedCommentHidesLaterClauses) {
+  auto refs = MiniCss::scan(".a{background:url(/a.png)} /* url(/b.png);");
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_EQ(refs[0].target, "/a.png");
+  // The only ';' sits in the open comment, so the @import never closes.
+  EXPECT_TRUE(MiniCss::scan("@import \"x.css\" /* ; url(/y.png)").empty());
+}
+
+TEST(MiniCss, ManyUrlsWithoutImportAllFoundInOrder) {
+  // The shape that made re-searching @import from every url( quadratic.
+  std::string css;
+  for (int i = 0; i < 3000; ++i) {
+    css += ".r" + std::to_string(i) + "{background:url(/i/" +
+           std::to_string(i) + ".png)}\n";
+  }
+  auto refs = MiniCss::scan(css);
+  ASSERT_EQ(refs.size(), 3000u);
+  EXPECT_EQ(refs.front().target, "/i/0.png");
+  EXPECT_EQ(refs[1234].target, "/i/1234.png");
+  EXPECT_EQ(refs.back().target, "/i/2999.png");
+}
+
+TEST(MiniJs, LineEndingsAndEmptyInput) {
+  JsProgram empty = MiniJs::run("");
+  EXPECT_DOUBLE_EQ(empty.work_units, 0.0);
+  EXPECT_TRUE(empty.references.empty());
+  EXPECT_DOUBLE_EQ(MiniJs::run("\n").work_units, 0.0);
+  EXPECT_DOUBLE_EQ(MiniJs::run("\r\n  \r\n").work_units, 0.0);
+
+  const std::string body = "compute(1.5);\nfetch(\"/a.json\");\nvar z;";
+  for (const std::string& code :
+       {body, body + "\n", std::string("compute(1.5);\r\nfetch(\"/a.json\");"
+                            "\r\nvar z;\r\n")}) {
+    JsProgram prog = MiniJs::run(code);
+    EXPECT_NEAR(prog.work_units, 1.5 + 0.03, 1e-9) << code;
+    ASSERT_EQ(prog.references.size(), 1u) << code;
+    EXPECT_EQ(prog.references[0].target, "/a.json");
+  }
+  // The last line counts even without a newline after it.
+  EXPECT_THROW(MiniJs::run("var x;\nexplode"), std::invalid_argument);
+  JsProgram last = MiniJs::run("var x;\nloadScript(\"/tail.js\")");
+  ASSERT_EQ(last.references.size(), 1u);
+  EXPECT_EQ(last.references[0].target, "/tail.js");
 }
 
 TEST(MiniJs, MalformedStatementsThrow) {
