@@ -305,6 +305,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n");
+  std::fprintf(json, "  \"host\": %s,\n", bench::host_stamp().c_str());
   std::fprintf(json, "  \"fade\": \"%s\",\n", fade_name.c_str());
   std::fprintf(json, "  \"mix\": \"%s\",\n",
                std::string(web::to_string(opts.mix)).c_str());

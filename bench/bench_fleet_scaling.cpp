@@ -18,8 +18,8 @@
 // per-client results are compared bitwise; every simulated number in the
 // emitted BENCH_fleet.json is identical for any --jobs value and across
 // reruns with the same seeds. (The streaming section's wall_sec_* /
-// peak_rss_* keys are real measurements of this machine and are the one
-// deliberate exception.)
+// peak_rss_* keys are real measurements of this machine, stamped with the
+// top-level "host" fingerprint, and are the one deliberate exception.)
 //
 // ISSUE 7 adds the streaming leg: a K=100,000 (default; --stream-clients)
 // fleet through FleetConfig::streaming — sketch-folded metrics, epoch-
@@ -460,6 +460,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n");
+  std::fprintf(json, "  \"host\": %s,\n", bench::host_stamp().c_str());
   std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"scheme\": "
                "\"PARCEL(IND)\", \"round_robin\": true},\n", kPages);
   std::fprintf(json, "  \"arrival_seed\": %llu,\n",

@@ -208,6 +208,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(json, "{\n");
+  std::fprintf(json, "  \"host\": %s,\n", bench::host_stamp().c_str());
   std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"loads_per_page\": %d},\n",
                pages, loads_per_page);
   std::fprintf(json, "  \"scan_workload\": {\n");

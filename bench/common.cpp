@@ -1,11 +1,15 @@
 #include "bench/common.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
+
+#include "util/strings.hpp"
 
 namespace parcel::bench {
 
@@ -368,6 +372,41 @@ PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
         static_cast<double>(corpus.replayed[p]->total_bytes()));
   }
   return out;
+}
+
+// The build system passes both; a build that does not (perfbench compiles
+// this file in a CMake package of its own) stamps "unknown".
+#ifndef PARCEL_BUILD_TYPE
+#define PARCEL_BUILD_TYPE "unknown"
+#endif
+#ifndef PARCEL_SOURCE_DIR
+#define PARCEL_SOURCE_DIR "."
+#endif
+
+std::string host_stamp() {
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string commit;
+  if (FILE* git = popen("git -C '" PARCEL_SOURCE_DIR
+                        "' describe --always --dirty --abbrev=40 2>/dev/null",
+                        "r")) {
+    char line[128];
+    if (std::fgets(line, sizeof line, git) != nullptr) {
+      commit = util::trim(line);
+    }
+    if (pclose(git) != 0) commit.clear();
+  }
+  if (commit.empty()) commit = "unknown";
+  // Compiler versions and git revisions hold no quotes or backslashes.
+  return "{\"nproc\": " + std::to_string(nproc) + ", \"compiler\": \"" +
+         compiler + "\", \"build_type\": \"" PARCEL_BUILD_TYPE
+         "\", \"commit\": \"" + commit + "\"}";
 }
 
 void print_header(const char* figure, const char* caption) {

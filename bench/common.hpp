@@ -134,6 +134,13 @@ struct PageMedians {
 PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
                        const core::RunConfig& base, int jobs = 1);
 
+/// Host fingerprint for the BENCH_*.json files, as a JSON object:
+/// {"nproc": N, "compiler": "...", "build_type": "...", "commit": "..."}.
+/// The commit is `git describe --always --dirty --abbrev=40` of the source
+/// tree at run time ("unknown" outside a git checkout), so numbers
+/// recorded on different hosts or builds are never compared unawares.
+std::string host_stamp();
+
 void print_header(const char* figure, const char* caption);
 void print_cdf(const char* label, const std::vector<double>& samples);
 

@@ -65,7 +65,7 @@ class ParcelClientFetcher final : public browser::Fetcher {
              std::function<void(browser::FetchResult)> on_result) override;
 
   // Session events.
-  void on_bundle_parts(const std::vector<web::MhtmlPart>& parts);
+  void on_bundle_parts(std::vector<web::MhtmlPart> parts);
   void on_completion_note();
 
   /// A new page of the session begins: suppression resumes (a fresh

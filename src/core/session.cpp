@@ -134,17 +134,18 @@ void ParcelSession::load(const net::Url& url, Callbacks callbacks) {
 }
 
 void ParcelSession::push_bundle(web::MhtmlWriter bundle) {
-  // Serialize to the actual MHTML wire format; the string's length is the
+  // Encode to the MHTML wire format: real framing bytes, text bodies by
+  // reference, opaque bodies counted but never built. wire_size() is the
   // exact byte count that crosses the radio.
-  auto text = std::make_shared<const std::string>(bundle.serialize());
-  auto wire_size = static_cast<util::Bytes>(text->size());
+  auto wire = std::make_shared<web::MhtmlBundle>(std::move(bundle).encode());
+  const util::Bytes wire_size = wire->wire_size();
   ++pushes_in_flight_;
   conn_.stream_to_client(
-      wire_size, next_push_id_++, [this, text, wire_size](util::TimePoint) {
+      wire_size, next_push_id_++, [this, wire, wire_size](util::TimePoint) {
         note_progress();
         ++bundles_delivered_;
         bundle_bytes_ += wire_size;
-        fetcher_.on_bundle_parts(web::MhtmlReader::parse(*text));
+        fetcher_.on_bundle_parts(web::MhtmlReader::decode(std::move(*wire)));
         for (std::size_t i = 0; i < post_waiters_.size();) {
           if (bundles_delivered_ >= post_waiters_[i].first) {
             auto cb = std::move(post_waiters_[i].second);

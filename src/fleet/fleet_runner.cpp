@@ -327,10 +327,12 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
       r.redo_sec = out.redo_sec[j];
       r.redo_bytes = out.redo_bytes[j];
     }
-    // Per-session content (bundle-unpacked objects) pins parse-cache
-    // entries that can never hit again; without periodic sweeps the
-    // cache footprint grows linearly in K. Corpus artifacts survive
-    // (their owners still pin them), so warm-cache behavior is unchanged.
+    // Content whose owner is gone (a generated document dropped after its
+    // load) pins parse-cache entries that can never hit again; the sweep
+    // keeps the cache footprint from growing with K. Bundles carry the
+    // proxy's own strings, so PARCEL loads leave no such entries of their
+    // own. Corpus artifacts survive (their owners still pin them), so
+    // warm-cache behavior is unchanged.
     const std::size_t done = b + count;
     if (done % kWave == 0 || done == admitted.size()) {
       web::ParseCache::instance().sweep_transient();

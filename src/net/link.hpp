@@ -84,7 +84,7 @@ class Link {
   bool fault_drop(Bytes bytes, const BurstInfo& info);
 
   void finish_transmit(TimePoint delivery, Bytes bytes, const BurstInfo& info,
-                       const DeliveryCallback& on_delivered);
+                       DeliveryCallback on_delivered);
 
   sim::Scheduler& sched_;
 

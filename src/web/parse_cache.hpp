@@ -100,9 +100,11 @@ class ParseCache {
   /// to the slot, the artifact, and the content pin. Such an entry can
   /// never hit again — its backing string is unreachable to any future
   /// caller, kept alive solely by the pin — so it is pure retained memory.
-  /// Transient per-session content (bundle-unpacked objects, generated
-  /// documents) lands here the moment its session ends; corpus content
-  /// stays cached because its generator/replay-store owner still pins it.
+  /// Transient content (a generated document whose owner was dropped)
+  /// lands here the moment its owner lets go; corpus content stays cached
+  /// because its generator/replay-store owner still pins it. Bundle parts
+  /// are the proxy's own strings (web/mhtml.hpp), so they are never
+  /// transient.
   /// Releasing the pin may let the allocator recycle the keyed address,
   /// which is safe exactly because the entry is erased in the same step: a
   /// recycled address misses and re-inserts. Streaming fleet runs sweep

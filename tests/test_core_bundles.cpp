@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "bench/common.hpp"
 #include "core/bundle_scheduler.hpp"
+#include "core/experiment.hpp"
 
 namespace parcel::core {
 namespace {
@@ -95,6 +97,58 @@ TEST(BundleConfig, Names) {
   EXPECT_EQ(BundleConfig::with_threshold(util::kib(512)).name(),
             "PARCEL(512K)");
   EXPECT_EQ(BundleConfig::with_threshold(util::mib(2)).name(), "PARCEL(2M)");
+}
+
+// Every bundle the proxy's scheduler cuts from the alexa34 corpus and the
+// large-object mix, under every fixed bundling policy: the encoded form's
+// wire size is the full document's size byte for byte, and decoding it
+// yields what parsing the full document yields, part for part.
+TEST(MhtmlEquivalence, EncodedBundlesMatchSerializedDocumentsAcrossCorpus) {
+  const bench::Corpus corpora[] = {
+      bench::build_corpus(34),
+      bench::build_corpus(16, 2014, web::PageMix::kLargeObject)};
+  std::size_t bundles = 0;
+  std::size_t text_parts = 0;
+  for (const auto& corpus : corpora) {
+    for (Scheme scheme : {Scheme::kParcelInd, Scheme::kParcelOnld,
+                          Scheme::kParcel512K, Scheme::kParcel1M,
+                          Scheme::kParcel2M}) {
+      for (const web::WebPage* page : corpus.replayed) {
+        Capture cap;
+        BundleScheduler sched(bundle_for(scheme), cap.sink());
+        for (bool post : {false, true}) {
+          for (const web::WebObject* o : page->objects()) {
+            if (o->post_onload != post) continue;
+            sched.on_object(o->url, o->type, o->size, o->content);
+          }
+          if (!post) sched.on_proxy_onload();
+        }
+        sched.on_page_complete();
+        for (auto& writer : cap.bundles) {
+          const std::string doc = writer.serialize();
+          const auto reference = web::MhtmlReader::parse(doc);
+          web::MhtmlBundle wire = std::move(writer).encode();
+          ASSERT_EQ(wire.wire_size(), static_cast<util::Bytes>(doc.size()));
+          const auto parts = web::MhtmlReader::decode(std::move(wire));
+          ASSERT_EQ(parts.size(), reference.size());
+          for (std::size_t i = 0; i < parts.size(); ++i) {
+            EXPECT_EQ(parts[i].location.str(), reference[i].location.str());
+            EXPECT_EQ(parts[i].content_type, reference[i].content_type);
+            EXPECT_EQ(parts[i].body_size, reference[i].body_size);
+            ASSERT_EQ(parts[i].content == nullptr,
+                      reference[i].content == nullptr);
+            if (parts[i].content) {
+              EXPECT_EQ(*parts[i].content, *reference[i].content);
+              ++text_parts;
+            }
+          }
+          ++bundles;
+        }
+      }
+    }
+  }
+  EXPECT_GT(bundles, 1000u);
+  EXPECT_GT(text_parts, 1000u);
 }
 
 }  // namespace

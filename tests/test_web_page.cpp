@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "net/url.hpp"
 #include "web/mhtml.hpp"
 #include "web/page.hpp"
@@ -128,6 +130,119 @@ TEST(Mhtml, MalformedInputThrows) {
   writer.add(make_object("http://a.example/x.jpg", ObjectType::kImage, 100));
   std::string wire = writer.serialize();
   EXPECT_THROW(MhtmlReader::parse(wire.substr(0, wire.size() / 2)),
+               std::invalid_argument);
+}
+
+// One text part and one opaque part, both ways: the encoded bundle and
+// the full document.
+struct TwoForms {
+  MhtmlBundle wire;
+  std::string doc;
+};
+
+TwoForms two_part_bundle() {
+  MhtmlWriter writer;
+  writer.add(make_object("http://a.example/a.css", ObjectType::kCss, 0,
+                         "body{}"));
+  writer.add(make_object("http://a.example/x.jpg", ObjectType::kImage, 300));
+  TwoForms forms;
+  forms.doc = writer.serialize();
+  forms.wire = std::move(writer).encode();
+  return forms;
+}
+
+// Replaces the header line "Content-Length: <from>" in `text` with
+// `line` (which may be empty, dropping the header). The text part's
+// length is 6, the opaque part's 300.
+void rewrite_length(std::string& text, const std::string& from,
+                    const std::string& line) {
+  const std::string old = "Content-Length: " + from + "\r\n";
+  const auto at = text.find(old);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, old.size(), line);
+}
+
+TEST(Mhtml, EncodedBundleDecodesByReference) {
+  auto body = std::make_shared<const std::string>("body{}");
+  MhtmlWriter writer;
+  writer.add_raw(net::Url::parse("http://a.example/a.css"), "text/css", 6,
+                 body);
+  writer.add(make_object("http://a.example/x.jpg", ObjectType::kImage, 300));
+  const std::string doc = writer.serialize();
+  MhtmlBundle wire = std::move(writer).encode();
+  EXPECT_EQ(wire.wire_size(), static_cast<Bytes>(doc.size()));
+  EXPECT_EQ(wire.framing.find(std::string(300, 'x')),
+            std::string::npos);  // no filler built
+  auto parts = MhtmlReader::decode(std::move(wire));
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[0].content.get(), body.get());  // the writer's own string
+  EXPECT_EQ(parts[1].content, nullptr);
+  EXPECT_EQ(parts[1].body_size, 300);
+}
+
+TEST(Mhtml, RejectsNonNumericContentLength) {
+  TwoForms forms = two_part_bundle();
+  rewrite_length(forms.doc, "6", "Content-Length: 6abc\r\n");
+  rewrite_length(forms.wire.framing, "6", "Content-Length: 6abc\r\n");
+  EXPECT_THROW(MhtmlReader::parse(forms.doc), std::invalid_argument);
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsNegativeContentLength) {
+  TwoForms forms = two_part_bundle();
+  rewrite_length(forms.doc, "6", "Content-Length: -6\r\n");
+  rewrite_length(forms.wire.framing, "6", "Content-Length: -6\r\n");
+  EXPECT_THROW(MhtmlReader::parse(forms.doc), std::invalid_argument);
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsMissingContentLength) {
+  TwoForms forms = two_part_bundle();
+  rewrite_length(forms.doc, "6", "");
+  rewrite_length(forms.wire.framing, "6", "");
+  EXPECT_THROW(MhtmlReader::parse(forms.doc), std::invalid_argument);
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsTextPartWithoutBody) {
+  TwoForms forms = two_part_bundle();
+  forms.wire.text_bodies.clear();
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+  TwoForms null_body = two_part_bundle();
+  null_body.wire.text_bodies[0] = nullptr;
+  EXPECT_THROW(MhtmlReader::decode(std::move(null_body.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsBodySizeMismatch) {
+  TwoForms forms = two_part_bundle();
+  forms.wire.text_bodies[0] = std::make_shared<const std::string>("body{ }");
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsContentLengthSumTheFramingDisagreesWith) {
+  TwoForms forms = two_part_bundle();
+  forms.wire.content_length_sum += 1;
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
+               std::invalid_argument);
+  TwoForms huge = two_part_bundle();
+  const std::string max = std::to_string(std::numeric_limits<Bytes>::max());
+  // 6 + INT64_MAX: the sum of the two lengths overflows.
+  rewrite_length(huge.wire.framing, "300", "Content-Length: " + max + "\r\n");
+  EXPECT_THROW(MhtmlReader::decode(std::move(huge.wire)),
+               std::invalid_argument);
+}
+
+TEST(Mhtml, RejectsBodiesLeftOver) {
+  TwoForms forms = two_part_bundle();
+  forms.wire.text_bodies.push_back(
+      std::make_shared<const std::string>("extra"));
+  EXPECT_THROW(MhtmlReader::decode(std::move(forms.wire)),
                std::invalid_argument);
 }
 
