@@ -195,19 +195,34 @@ LoadStats measure_load_allocation(const web::WebPage& page) {
 
 // ---- Flat-key JSON read/compare ------------------------------------------
 
+/// The number after top-level key `key`. Keys inside nested objects (the
+/// "host" stamp) never match, whatever they are named.
 double read_key(const std::string& text, const char* key) {
-  std::string needle = std::string("\"") + key + "\"";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "compare: key %s missing\n", key);
-    std::exit(2);
+  const std::string needle = std::string("\"") + key + "\"";
+  int depth = 0;
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    const char c = text[pos];
+    if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    } else if (c == '"') {
+      if (depth == 1 && text.compare(pos, needle.size(), needle) == 0) {
+        const std::size_t colon = text.find_first_not_of(
+            " \t\r\n", pos + needle.size());
+        if (colon == std::string::npos || text[colon] != ':') {
+          std::fprintf(stderr, "compare: key %s malformed\n", key);
+          std::exit(2);
+        }
+        return std::strtod(text.c_str() + colon + 1, nullptr);
+      }
+      // Skip the string; the stamp's strings hold no escaped quotes.
+      pos = text.find('"', pos + 1);
+      if (pos == std::string::npos) break;
+    }
   }
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "compare: key %s malformed\n", key);
-    std::exit(2);
-  }
-  return std::strtod(text.c_str() + pos + 1, nullptr);
+  std::fprintf(stderr, "compare: key %s missing\n", key);
+  std::exit(2);
 }
 
 std::string slurp(const char* path) {
@@ -324,6 +339,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"hardware_threads\": %d,\n", hw);
+  std::fprintf(json, "  \"host\": %s,\n", bench::host_stamp().c_str());
   std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(json, "  \"scheduler_events_per_sec\": %.0f,\n", events);
   std::fprintf(json, "  \"trace_replay_records_per_sec\": %.0f,\n",

@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"hardware_threads\": %d,\n", hw);
+  std::fprintf(json, "  \"host\": %s,\n", bench::host_stamp().c_str());
   std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"rounds\": %d, "
                "\"schemes\": [\"DIR\", \"PARCEL(IND)\"]},\n", pages, rounds);
   std::fprintf(json, "  \"corpus_wall_clock_sec\": {");

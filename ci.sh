@@ -113,6 +113,15 @@ if [ "$rc" -ne 1 ]; then
 fi
 echo "energy gate correctly rejects a doctored joules baseline (exit 1)"
 
+echo "==> Kernel gate reads top-level keys only"
+# A gate key planted inside the nested "host" stamp with an absurd value
+# must not be read: the file still compares equal to itself.
+sed -E 's/"host": \{/"host": {"scheduler_events_per_sec": 1e30, "bytes_allocated_per_load": 1e30, /' \
+  BENCH_kernel.json > build-ci/bench/BENCH_kernel_nested.json
+./build-ci/bench/bench_kernel_throughput --compare BENCH_kernel.json \
+  build-ci/bench/BENCH_kernel_nested.json > /dev/null
+echo "kernel gate ignores keys inside the host stamp"
+
 echo "==> Parse cache smoke (2-page corpus, hit rate must be > 0)"
 (cd build-ci/bench && ./bench_parse_cache --pages 2 --rounds 1)
 awk -F': ' '/"hit_rate"/ { rate = $2 + 0.0 }

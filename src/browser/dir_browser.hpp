@@ -59,6 +59,9 @@ class NetworkFetcher final : public Fetcher {
   [[nodiscard]] std::size_t requests_issued() const {
     return pool_.requests_issued();
   }
+  [[nodiscard]] std::size_t peak_concurrency() const {
+    return pool_.peak_concurrency();
+  }
   [[nodiscard]] std::uint64_t fetch_retries() const { return fetch_retries_; }
   [[nodiscard]] std::uint64_t fetch_timeouts() const {
     return fetch_timeouts_;

@@ -37,8 +37,9 @@ HttpConnection::HttpConnection(sim::Scheduler& sched, Path path,
 
 void HttpConnection::fetch(HttpRequest request, std::uint32_t object_id,
                            ResponseCallback on_response) {
-  queue_.push_back(
-      Pending{std::move(request), object_id, std::move(on_response)});
+  if (pool_ != nullptr && !busy()) ++pool_->busy_connections_;
+  queue_.push_back(std::make_shared<Flight>(
+      Flight{std::move(request), object_id, std::move(on_response), {}}));
   pump();
 }
 
@@ -57,26 +58,23 @@ void HttpConnection::pump() {
   }
 
   ++in_flight_;
-  Pending p = std::move(queue_.front());
+  std::shared_ptr<Flight> flight = std::move(queue_.front());
   queue_.pop_front();
 
-  Bytes req_bytes = p.request.wire_size();
-  auto object_id = p.object_id;
-  auto request = std::make_shared<HttpRequest>(std::move(p.request));
-  auto on_response =
-      std::make_shared<ResponseCallback>(std::move(p.on_response));
-
-  tcp_.send_to_server(req_bytes, object_id, [this, request, object_id,
-                                             on_response](TimePoint) {
-    endpoint_.handle(*request, [this, object_id,
-                                on_response](HttpResponse response) {
-      auto resp = std::make_shared<HttpResponse>(std::move(response));
-      tcp_.stream_to_client(resp->wire_size(), object_id,
-                            [this, resp, on_response](TimePoint) {
-                              --in_flight_;
-                              (*on_response)(*resp);
-                              pump();
-                            });
+  const Bytes req_bytes = flight->request.wire_size();
+  const std::uint32_t object_id = flight->object_id;
+  tcp_.send_to_server(req_bytes, object_id, [this, flight](TimePoint) {
+    endpoint_.handle(flight->request, [this, flight](HttpResponse response) {
+      flight->response.emplace(std::move(response));
+      tcp_.stream_to_client(
+          flight->response->wire_size(), flight->object_id,
+          [this, flight](TimePoint) {
+            --in_flight_;
+            if (pool_ != nullptr && !busy()) --pool_->busy_connections_;
+            flight->on_response(*flight->response);
+            if (pool_ != nullptr) pool_->dispatch_all();
+            pump();
+          });
     });
   });
   // Multiplexed mode issues further requests without waiting.
@@ -102,47 +100,54 @@ HttpClientPool::HttpClientPool(sim::Scheduler& sched, PathFactory path_factory,
 
 std::uint64_t HttpClientPool::retransmits() const {
   std::uint64_t n = 0;
-  for (const auto& [_, state] : domains_) {
-    for (const auto& c : state.conns) {
+  for (const auto& state : by_name_) {
+    for (const auto& c : state->conns) {
       n += c->tcp().retransmits();
     }
   }
   return n;
 }
 
-std::size_t HttpClientPool::busy_connections() const {
-  std::size_t n = 0;
-  for (const auto& [_, state] : domains_) {
-    for (const auto& c : state.conns) {
-      if (c->busy()) ++n;
-    }
+HttpClientPool::DomainState& HttpClientPool::domain_state(const Url& url) {
+  auto hit = by_host_.find(url.host_id());
+  if (hit != by_host_.end() && hit->second->name == url.host()) {
+    return *hit->second;
   }
-  return n;
+  // A new domain, or one whose host id collides with a known domain's.
+  auto pos = std::lower_bound(
+      by_name_.begin(), by_name_.end(), url.host(),
+      [](const auto& state, const std::string& name) {
+        return state->name < name;
+      });
+  if (pos != by_name_.end() && (*pos)->name == url.host()) return **pos;
+  DomainState& state = **by_name_.insert(
+      pos, std::make_unique<DomainState>(DomainState{url.host(), {}, {}}));
+  by_host_.emplace(url.host_id(), &state);  // a collision keeps the first
+  return state;
 }
 
 void HttpClientPool::dispatch_all() {
-  for (auto& [domain, state] : domains_) {
-    if (!state.backlog.empty()) dispatch(domain);
+  // Indexed rather than range-for: safe even if a dispatch added a domain.
+  for (std::size_t i = 0; i < by_name_.size(); ++i) {
+    // Past the global cap every dispatch() would return at once.
+    if (backlogged_domains_ == 0 || at_global_cap()) return;
+    if (!by_name_[i]->backlog.empty()) dispatch(*by_name_[i]);
   }
 }
 
 void HttpClientPool::fetch(HttpRequest request, std::uint32_t object_id,
                            HttpConnection::ResponseCallback on_response) {
-  std::string domain = request.url.host();
-  auto& state = domains_[domain];
-  state.backlog.emplace_back(std::move(request), object_id,
-                             std::move(on_response));
-  dispatch(domain);
+  DomainState& state = domain_state(request.url);
+  if (state.backlog.empty()) ++backlogged_domains_;
+  state.backlog.push_back(
+      Queued{std::move(request), object_id, std::move(on_response)});
+  dispatch(state);
 }
 
-void HttpClientPool::dispatch(const std::string& domain) {
-  auto& state = domains_[domain];
+void HttpClientPool::dispatch(DomainState& state) {
   while (!state.backlog.empty()) {
     // Browsers cap concurrent connections globally as well as per domain.
-    if (busy_connections() >=
-        static_cast<std::size_t>(max_total_connections_)) {
-      return;
-    }
+    if (at_global_cap()) return;
     // Prefer an idle existing connection.
     HttpConnection* conn = nullptr;
     for (auto& c : state.conns) {
@@ -153,12 +158,14 @@ void HttpClientPool::dispatch(const std::string& domain) {
     }
     if (conn == nullptr &&
         state.conns.size() < static_cast<std::size_t>(max_conns_per_domain_)) {
-      HttpEndpoint* endpoint = endpoint_resolver_(domain);
+      HttpEndpoint* endpoint = endpoint_resolver_(state.name);
       if (endpoint == nullptr) {
-        throw std::runtime_error("HttpClientPool: unknown domain " + domain);
+        throw std::runtime_error("HttpClientPool: unknown domain " +
+                                 state.name);
       }
       state.conns.push_back(std::make_unique<HttpConnection>(
-          sched_, path_factory_(domain), *endpoint, params_, conn_ids_()));
+          sched_, path_factory_(state.name), *endpoint, params_, conn_ids_()));
+      state.conns.back()->pool_ = this;
       ++connections_opened_;
       conn = state.conns.back().get();
     }
@@ -167,15 +174,13 @@ void HttpClientPool::dispatch(const std::string& domain) {
       // and are re-dispatched as responses complete.
       return;
     }
-    auto [request, object_id, cb] = std::move(state.backlog.front());
+    Queued next = std::move(state.backlog.front());
     state.backlog.pop_front();
+    if (state.backlog.empty()) --backlogged_domains_;
     ++requests_issued_;
-    peak_concurrency_ = std::max(peak_concurrency_, busy_connections() + 1);
-    conn->fetch(std::move(request), object_id,
-                [this, cb = std::move(cb)](const HttpResponse& resp) {
-                  cb(resp);
-                  dispatch_all();
-                });
+    peak_concurrency_ = std::max(peak_concurrency_, busy_connections_ + 1);
+    conn->fetch(std::move(next.request), next.object_id,
+                std::move(next.on_response));
   }
 }
 

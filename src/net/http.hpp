@@ -10,9 +10,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/tcp.hpp"
@@ -20,6 +21,8 @@
 #include "sim/scheduler.hpp"
 
 namespace parcel::net {
+
+class HttpClientPool;
 
 enum class HttpMethod : std::uint8_t { kGet, kPost };
 
@@ -86,10 +89,15 @@ class HttpConnection {
   [[nodiscard]] const TcpConnection& tcp() const { return tcp_; }
 
  private:
-  struct Pending {
+  friend class HttpClientPool;
+
+  /// One request's state from fetch() to its response callback: a single
+  /// shared record that every continuation of the exchange captures.
+  struct Flight {
     HttpRequest request;
     std::uint32_t object_id;
     ResponseCallback on_response;
+    std::optional<HttpResponse> response;
   };
 
   void pump();
@@ -101,7 +109,10 @@ class HttpConnection {
   bool connected_ = false;
   bool connecting_ = false;
   int in_flight_ = 0;
-  std::deque<Pending> queue_;
+  std::deque<std::shared_ptr<Flight>> queue_;
+  // The pool that opened this connection, if any: it counts busy
+  // connections and re-dispatches its backlogs after each response.
+  HttpClientPool* pool_ = nullptr;
 };
 
 /// Browser-style per-domain connection pool.
@@ -137,16 +148,26 @@ class HttpClientPool {
   [[nodiscard]] std::uint64_t retransmits() const;
 
  private:
+  friend class HttpConnection;
+
+  struct Queued {
+    HttpRequest request;
+    std::uint32_t object_id;
+    HttpConnection::ResponseCallback on_response;
+  };
   struct DomainState {
+    std::string name;
     std::vector<std::unique_ptr<HttpConnection>> conns;
-    std::deque<std::tuple<HttpRequest, std::uint32_t,
-                          HttpConnection::ResponseCallback>>
-        backlog;
+    std::deque<Queued> backlog;
   };
 
-  void dispatch(const std::string& domain);
+  DomainState& domain_state(const Url& url);
+  void dispatch(DomainState& state);
   void dispatch_all();
-  [[nodiscard]] std::size_t busy_connections() const;
+  [[nodiscard]] bool at_global_cap() const {
+    return busy_connections_ >=
+           static_cast<std::size_t>(max_total_connections_);
+  }
 
   sim::Scheduler& sched_;
   PathFactory path_factory_;
@@ -158,7 +179,16 @@ class HttpClientPool {
   std::size_t connections_opened_ = 0;
   std::size_t requests_issued_ = 0;
   std::size_t peak_concurrency_ = 0;
-  std::map<std::string, DomainState> domains_;
+  // Connections whose busy() is true, kept by HttpConnection on every
+  // idle<->busy transition.
+  std::size_t busy_connections_ = 0;
+  // Domains whose backlog is non-empty.
+  std::size_t backlogged_domains_ = 0;
+  // Domain states in name order. dispatch_all() visits backlogs in this
+  // order, and it decides which backlog a freed connection serves.
+  std::vector<std::unique_ptr<DomainState>> by_name_;
+  // Index by Url::host_id(); a hit counts only if the name matches.
+  std::unordered_map<UrlId, DomainState*, UrlIdHash> by_host_;
 };
 
 }  // namespace parcel::net

@@ -39,7 +39,7 @@ std::string normalize_path(std::string_view path) {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+constexpr std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (unsigned char c : s) {
     h ^= c;
     h *= kFnvPrime;
@@ -49,11 +49,35 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
 
 /// Component separator: a byte that cannot occur inside a component, so
 /// ("ab","c") and ("a","bc") intern differently.
-std::uint64_t fnv1a_sep(std::uint64_t h) {
+constexpr std::uint64_t fnv1a_sep(std::uint64_t h) {
   h ^= 0xffU;
   h *= kFnvPrime;
   return h;
 }
+
+struct Ids {
+  UrlId id;
+  UrlId norm_id;
+  UrlId host_id;
+};
+
+constexpr Ids intern_ids(std::string_view scheme, std::string_view host,
+                         std::string_view path, std::string_view query) {
+  std::uint64_t h = fnv1a(kFnvOffset, scheme);
+  h = fnv1a(fnv1a_sep(h), host);
+  std::uint64_t host_path = fnv1a(fnv1a_sep(h), path);
+  // without_query() is host + path: intern exactly that text so lookups
+  // built from either side agree. host_id is the same text-interning as
+  // intern_key(host()), so both probes agree.
+  std::uint64_t host_only = fnv1a(kFnvOffset, host);
+  return Ids{UrlId{fnv1a(fnv1a_sep(host_path), query)},
+             UrlId{fnv1a(host_only, path)}, UrlId{host_only}};
+}
+
+// Ids of the default Url: the member initializers in url.hpp ("http", no
+// host, "/", no query). A page load builds about a thousand default Urls,
+// so these are constants rather than hashed per construction.
+constexpr Ids kDefaultIds = intern_ids("http", "", "/", "");
 
 }  // namespace
 
@@ -61,19 +85,16 @@ std::uint64_t intern_key(std::string_view text) {
   return fnv1a(kFnvOffset, text);
 }
 
-Url::Url() { refresh_ids(); }
+Url::Url()
+    : id_(kDefaultIds.id),
+      norm_id_(kDefaultIds.norm_id),
+      host_id_(kDefaultIds.host_id) {}
 
 void Url::refresh_ids() {
-  std::uint64_t h = fnv1a(kFnvOffset, scheme_);
-  h = fnv1a(fnv1a_sep(h), host_);
-  std::uint64_t host_path = fnv1a(fnv1a_sep(h), path_);
-  id_.v = fnv1a(fnv1a_sep(host_path), query_);
-  // without_query() is host + path: intern exactly that text so lookups
-  // built from either side agree.
-  std::uint64_t host_only = fnv1a(kFnvOffset, host_);
-  norm_id_.v = fnv1a(host_only, path_);
-  // Same text-interning as intern_key(host()), so both probes agree.
-  host_id_.v = host_only;
+  const Ids ids = intern_ids(scheme_, host_, path_, query_);
+  id_ = ids.id;
+  norm_id_ = ids.norm_id;
+  host_id_ = ids.host_id;
 }
 
 Url Url::parse(std::string_view text) {

@@ -53,6 +53,22 @@ TEST(DirBrowserIntegration, LoadsEveryObjectWithClassicPattern) {
             static_cast<util::Bytes>(fixture_page().total_bytes()));
 }
 
+TEST(DirBrowserIntegration, PoolCountersPinnedOnMultiDomainPage) {
+  // Exact connection-pool counters for the fixture page, which spreads its
+  // objects over several domains: how many connections the pool opened and
+  // how many were ever busy at once.
+  Testbed testbed{TestbedConfig{}};
+  testbed.host_page(fixture_page());
+  DirBrowser dir(testbed.network(), DirConfig{}, util::Rng(1));
+  dir.load(fixture_page().main_url(), BrowserEngine::Callbacks{});
+  testbed.scheduler().run_until(util::TimePoint::at_seconds(60));
+  ASSERT_GT(fixture_page().domain_names().size(), 1u);
+  EXPECT_EQ(fixture_page().domain_names().size(), 8u);
+  EXPECT_EQ(dir.fetcher().requests_issued(), fixture_page().object_count());
+  EXPECT_EQ(dir.fetcher().connections_opened(), 15u);
+  EXPECT_EQ(dir.fetcher().peak_concurrency(), 9u);
+}
+
 TEST(DirBrowserIntegration, EngineOltMatchesTraceDerivedOlt) {
   Testbed testbed{TestbedConfig{}};
   testbed.host_page(fixture_page());

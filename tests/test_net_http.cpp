@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/http.hpp"
 #include "net/network.hpp"
@@ -141,6 +144,88 @@ TEST_F(HttpFixture, PoolHonorsGlobalCap) {
   // as domains take turns, but never the per-domain x domain-count bound.
   EXPECT_LE(pool.peak_concurrency(), 4u);
   EXPECT_LE(pool.connections_opened(), 12u);
+}
+
+TEST_F(HttpFixture, FreedConnectionServesNameFirstBacklog) {
+  // Under a global cap of one connection, every later request waits in its
+  // domain's backlog. A freed connection goes to the backlogged domain
+  // whose name sorts first, not to the one that asked first.
+  FixedEndpoint endpoint(sched, 1'000, Duration::millis(5));
+  Network network(sched);
+  const std::vector<std::string> domains{"m.example", "z.example",
+                                         "a.example", "k.example"};
+  for (const auto& d : domains) network.register_endpoint(d, endpoint);
+  HttpClientPool pool(
+      sched, [this](const std::string&) { return path; },
+      [&](const std::string& d) { return network.endpoint(d); },
+      [&network]() { return network.next_conn_id(); }, params,
+      /*max_conns_per_domain=*/6, /*max_total=*/1);
+  std::vector<std::string> order;
+  std::uint32_t object_id = 0;
+  for (const auto& d : domains) {
+    HttpRequest req;
+    req.url = Url::parse("http://" + d + "/x");
+    pool.fetch(req, ++object_id, [&order](const HttpResponse& resp) {
+      order.push_back(resp.url.host());
+    });
+  }
+  sched.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"m.example", "a.example",
+                                             "k.example", "z.example"}));
+  EXPECT_EQ(pool.peak_concurrency(), 1u);
+  EXPECT_EQ(pool.connections_opened(), 4u);
+}
+
+TEST_F(HttpFixture, PoolCountersPinnedOnMultiDomainPage) {
+  // A page-like request mix: waves of subresources spread over five
+  // domains, two server speeds, discovered over time and partly from
+  // inside response callbacks. The lifetime connection count, the
+  // concurrency peak and the completion order are pinned exactly: any
+  // change to how the pool picks connections or orders backlogs moves
+  // them.
+  FixedEndpoint fast(sched, 4'000, Duration::millis(20));
+  FixedEndpoint slow(sched, 60'000, Duration::millis(80));
+  Network network(sched);
+  const std::vector<std::string> domains{"www.example", "cdn.example",
+                                         "img.example", "ads.example",
+                                         "api.example"};
+  for (std::size_t i = 0; i < domains.size(); ++i) {
+    network.register_endpoint(domains[i], i % 2 == 0 ? fast : slow);
+  }
+  HttpClientPool pool(
+      sched, [this](const std::string&) { return path; },
+      [&](const std::string& d) { return network.endpoint(d); },
+      [&network]() { return network.next_conn_id(); }, params,
+      /*max_conns_per_domain=*/6, /*max_total=*/9);
+  std::vector<std::uint32_t> completed;
+  std::uint32_t next_id = 0;
+  std::function<void(std::size_t)> issue = [&](std::size_t domain) {
+    const std::uint32_t id = ++next_id;
+    HttpRequest req;
+    req.url = Url::parse("http://" + domains[domain % domains.size()] + "/o" +
+                         std::to_string(id));
+    pool.fetch(req, id, [&, id, domain](const HttpResponse&) {
+      completed.push_back(id);
+      // Every third response discovers one more object on another domain.
+      if (id % 3 == 0 && next_id < 60) issue(domain + 2);
+    });
+  };
+  for (int wave = 0; wave < 4; ++wave) {
+    sched.schedule_at(TimePoint::at_seconds(0.15 * wave), [&, wave] {
+      for (std::size_t i = 0; i < 12; ++i) {
+        issue(i * 7 + static_cast<std::size_t>(wave));
+      }
+    });
+  }
+  sched.run();
+  ASSERT_EQ(completed.size(), static_cast<std::size_t>(next_id));
+  std::uint64_t order_digest = 0;
+  for (std::uint32_t id : completed) order_digest = order_digest * 131 + id;
+  EXPECT_EQ(pool.requests_issued(), static_cast<std::size_t>(next_id));
+  EXPECT_EQ(next_id, 61u);
+  EXPECT_EQ(pool.connections_opened(), 21u);
+  EXPECT_EQ(pool.peak_concurrency(), 9u);
+  EXPECT_EQ(order_digest, 327870282252647433ull);
 }
 
 TEST_F(HttpFixture, PoolUnknownDomainThrows) {

@@ -65,6 +65,18 @@ TEST(Url, EqualityAndHash) {
   EXPECT_EQ(std::hash<Url>{}(a), std::hash<Url>{}(b));
 }
 
+TEST(Url, DefaultIdsMatchRecomputedIds) {
+  // The default Url's ids are constants; they must equal what hashing the
+  // same components produces.
+  Url def;
+  Url recomputed = Url{}.resolve("/");
+  EXPECT_EQ(recomputed, def);
+  EXPECT_EQ(def.id(), recomputed.id());
+  EXPECT_EQ(def.normalized_id(), recomputed.normalized_id());
+  EXPECT_EQ(def.host_id(), recomputed.host_id());
+  EXPECT_EQ(def.host_id().v, intern_key(""));
+}
+
 struct DnsFixture : ::testing::Test {
   sim::Scheduler sched;
   DuplexLink link{sched, "l", util::BitRate::mbps(10), util::BitRate::mbps(10),

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -176,6 +178,116 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   sched.run();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(sched.now().sec(), 4.0);
+}
+
+TEST(Scheduler, CapturesDestroyedOnceFired) {
+  Scheduler sched;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  sched.schedule_at(TimePoint::at_seconds(1), [token] {});
+  token.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(sched.step());
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Scheduler, CancelledCapturesDestroyedOncePopped) {
+  Scheduler sched;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  EventHandle h = sched.schedule_at(TimePoint::at_seconds(1), [token] {});
+  token.reset();
+  bool later_fired = false;
+  sched.schedule_at(TimePoint::at_seconds(2), [&] { later_fired = true; });
+  h.cancel();
+  // step() pops the tombstone on its way to the live event.
+  EXPECT_TRUE(sched.step());
+  EXPECT_TRUE(later_fired);
+  EXPECT_TRUE(watch.expired());
+
+  // run_until's tombstone skip releases captures too.
+  auto token2 = std::make_shared<int>(2);
+  std::weak_ptr<int> watch2 = token2;
+  EventHandle h2 = sched.schedule_at(TimePoint::at_seconds(3), [token2] {});
+  token2.reset();
+  h2.cancel();
+  sched.run_until(TimePoint::at_seconds(4));
+  EXPECT_TRUE(watch2.expired());
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(Scheduler, CallbackSchedulingManyEventsKeepsFifoAndItsCaptures) {
+  // A callback that schedules 10,000 events grows the scheduler's storage
+  // while it is still running; its own captures must stay intact and the
+  // new events must fire in scheduling order after the ones queued before.
+  constexpr int kBurst = 10'000;
+  Scheduler sched;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) {
+    sched.schedule_at(TimePoint::at_seconds(1), [&order, i] {
+      order.push_back(-3 + i);
+    });
+  }
+  const std::string tag(64, 'x');  // heap-allocated capture
+  bool captures_intact = false;
+  sched.schedule_at(TimePoint::origin(), [&, tag] {
+    for (int i = 0; i < kBurst; ++i) {
+      sched.schedule_at(TimePoint::at_seconds(1),
+                        [&order, i] { order.push_back(i); });
+    }
+    captures_intact = tag == std::string(64, 'x');
+  });
+  sched.run();
+  EXPECT_TRUE(captures_intact);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kBurst + 3));
+  for (int i = 0; i < kBurst + 3; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i - 3);
+  }
+}
+
+TEST(Scheduler, HandlesStayExactAfterStorageReuse) {
+  Scheduler sched;
+  int fired_a = 0, fired_b = 0, fired_c = 0;
+  EventHandle a =
+      sched.schedule_at(TimePoint::at_seconds(1), [&] { ++fired_a; });
+  sched.run();
+  EXPECT_EQ(fired_a, 1);
+  // b reuses the storage a fired from; a's handle must not see b.
+  EventHandle b =
+      sched.schedule_at(TimePoint::at_seconds(2), [&] { ++fired_b; });
+  EXPECT_FALSE(a.pending());
+  EXPECT_TRUE(b.pending());
+  a.cancel();
+  EXPECT_TRUE(b.pending());
+  b.cancel();
+  sched.run();
+  EXPECT_EQ(fired_b, 0);
+  // c reuses b's storage after b's tombstone was popped.
+  EventHandle c =
+      sched.schedule_at(TimePoint::at_seconds(3), [&] { ++fired_c; });
+  EXPECT_FALSE(b.pending());
+  EXPECT_TRUE(c.pending());
+  b.cancel();
+  a.cancel();
+  sched.run();
+  EXPECT_EQ(fired_c, 1);
+  EXPECT_FALSE(c.pending());
+}
+
+TEST(Scheduler, OwnHandleIsNotPendingInsideItsCallback) {
+  Scheduler sched;
+  EventHandle self;
+  bool pending_inside = true;
+  int fired = 0;
+  self = sched.schedule_at(TimePoint::at_seconds(1), [&] {
+    pending_inside = self.pending();
+    self.cancel();  // no-op: the event is already firing
+    ++fired;
+    sched.schedule_after(Duration::seconds(1), [&] { ++fired; });
+  });
+  sched.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(fired, 2);
 }
 
 }  // namespace
