@@ -5,8 +5,9 @@
 // on the client engine and again on the proxy engine. Two measurements:
 //
 // 1. "scan workload": the corpus's parse work replayed for the grid's
-//    repetition count, fresh scans vs through web::ParseCache. This is
-//    the CPU the cache removes, isolated from simulated network time.
+//    repetition count, fresh scans vs through web::ParseCache, repeated
+//    until the passes have run for a second. This is the CPU the cache
+//    removes, isolated from simulated network time.
 // 2. "end-to-end": run_corpus (DIR + PARCEL(IND)) with the cache off vs
 //    on, repeated until the passes have run for a second, asserting the
 //    medians stay bitwise identical — the cache must be invisible in
@@ -150,19 +151,46 @@ int main(int argc, char** argv) {
               loads_per_page);
 
   // --- 1. Scan workload: fresh every time vs memoized ------------------
-  WorkloadResult fresh = scan_workload(corpus, loads_per_page, false);
-
-  web::ParseCache::instance().clear();
-  web::ParseCache::instance().reset_stats();
+  // One workload pass lasts milliseconds, so like the end-to-end grid
+  // below, fresh/memoized passes repeat (alternating which runs first)
+  // until they have run for kMinSec; each reports its median pass and the
+  // speedup is the median over pairs. Every memoized pass starts from an
+  // empty cache, so each sees the same hit rate.
+  constexpr double kMinSec = 1.0;
+  auto run_scans = [&](bool cached) {
+    if (cached) {
+      web::ParseCache::instance().clear();
+      web::ParseCache::instance().reset_stats();
+    }
+    return scan_workload(corpus, loads_per_page, cached);
+  };
   web::ParseCache::set_enabled(true);
-  WorkloadResult memo = scan_workload(corpus, loads_per_page, true);
-  web::ParseCache::Stats ws = web::ParseCache::instance().stats();
-
-  double workload_speedup = fresh.sec / memo.sec;
-  std::printf("scan workload (%zu scans):\n", fresh.scans);
-  std::printf("  fresh scans:   %.3fs\n", fresh.sec);
-  std::printf("  parse cache:   %.3fs  (%.2fx)\n", memo.sec,
-              workload_speedup);
+  std::vector<double> fresh_secs, memo_secs, scan_speedups;
+  std::size_t scans = 0;
+  web::ParseCache::Stats ws;
+  for (double elapsed = 0.0; elapsed < kMinSec;) {
+    const bool fresh_first = scan_speedups.size() % 2 == 0;
+    WorkloadResult fresh = fresh_first ? run_scans(false) : WorkloadResult{};
+    const WorkloadResult memo = run_scans(true);
+    ws = web::ParseCache::instance().stats();
+    if (!fresh_first) fresh = run_scans(false);
+    scans = fresh.scans;
+    fresh_secs.push_back(fresh.sec);
+    memo_secs.push_back(memo.sec);
+    scan_speedups.push_back(fresh.sec / memo.sec);
+    elapsed += fresh.sec + memo.sec;
+  }
+  const double fresh_sec = util::median(fresh_secs);
+  const double memo_sec = util::median(memo_secs);
+  const double workload_speedup = util::median(scan_speedups);
+  const auto [min_scan_speedup, max_scan_speedup] =
+      std::minmax_element(scan_speedups.begin(), scan_speedups.end());
+  std::printf("scan workload (%zu scans, %zu fresh/cached passes):\n", scans,
+              scan_speedups.size());
+  std::printf("  fresh scans:   %.4fs (median pass)\n", fresh_sec);
+  std::printf("  parse cache:   %.4fs (median pass)\n", memo_sec);
+  std::printf("  speedup:       %.2fx median, %.2f-%.2fx over passes\n",
+              workload_speedup, *min_scan_speedup, *max_scan_speedup);
   std::printf("  hit rate: %.1f%%  (html %llu/%llu, css %llu/%llu, "
               "js %llu/%llu hits/misses)\n",
               100.0 * ws.hit_rate(),
@@ -174,12 +202,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ws.js_misses));
 
   // --- 2. End-to-end: the grid with the cache off vs on ----------------
-  // One grid runs in a few tens of milliseconds, too short for a single
-  // timing to mean much, so off/on passes repeat (alternating which runs
-  // first) until they have run for kMinEndToEndSec; the speedup is the
-  // median over passes, with its min and max. Every pass starts from an
-  // empty cache, so each "on" pass sees the same hit rate.
-  constexpr double kMinEndToEndSec = 1.0;
+  // One grid runs in a few tens of milliseconds: the same repeat-and-
+  // median treatment as the scan workload, with the speedup's min and max.
   auto run_grid = [&](bool cached, bench::PageMedians& dir,
                       bench::PageMedians& ind) {
     web::ParseCache::instance().clear();
@@ -201,7 +225,7 @@ int main(int argc, char** argv) {
   web::ParseCache::Stats es;
   bool identical = true;
   double elapsed = 0.0;
-  while (elapsed < kMinEndToEndSec) {
+  while (elapsed < kMinSec) {
     bench::PageMedians off_dir, off_ind, on_dir, on_ind;
     const bool off_first = speedups.size() % 2 == 0;
     double off_sec = off_first ? run_grid(false, off_dir, off_ind) : 0.0;
@@ -243,10 +267,13 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"loads_per_page\": %d},\n",
                pages, loads_per_page);
   std::fprintf(json, "  \"scan_workload\": {\n");
-  std::fprintf(json, "    \"scans\": %zu,\n", fresh.scans);
-  std::fprintf(json, "    \"fresh_sec\": %.4f,\n", fresh.sec);
-  std::fprintf(json, "    \"cached_sec\": %.4f,\n", memo.sec);
+  std::fprintf(json, "    \"scans\": %zu,\n", scans);
+  std::fprintf(json, "    \"passes\": %zu,\n", scan_speedups.size());
+  std::fprintf(json, "    \"fresh_sec_median\": %.5f,\n", fresh_sec);
+  std::fprintf(json, "    \"cached_sec_median\": %.5f,\n", memo_sec);
   std::fprintf(json, "    \"speedup\": %.3f,\n", workload_speedup);
+  std::fprintf(json, "    \"speedup_min\": %.3f,\n", *min_scan_speedup);
+  std::fprintf(json, "    \"speedup_max\": %.3f,\n", *max_scan_speedup);
   std::fprintf(json, "    \"hit_rate\": %.4f,\n", ws.hit_rate());
   std::fprintf(json,
                "    \"per_kind\": {\"html\": {\"hits\": %llu, \"misses\": "

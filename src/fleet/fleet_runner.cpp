@@ -12,7 +12,6 @@
 #include "fleet/shard.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "web/parse_cache.hpp"
 
 namespace parcel::fleet {
 
@@ -251,8 +250,8 @@ void fold_handoffs(EpochAgg& agg, const MacroOut& out) {
   }
 }
 
-/// Micro-sims per fan-out wave and per parse-cache sweep: the RunResults
-/// alive at once stay O(kWave), independent of K.
+/// Micro-sims per fan-out wave: the RunResults alive at once stay
+/// O(kWave), independent of K.
 constexpr std::size_t kWave = 256;
 
 /// Simulate one epoch end-to-end on one macro timeline: arrivals from the
@@ -326,16 +325,6 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
       r.recovery = util::Duration::seconds(out.recovery_sec[j]);
       r.redo_sec = out.redo_sec[j];
       r.redo_bytes = out.redo_bytes[j];
-    }
-    // Content whose owner is gone (a generated document dropped after its
-    // load) pins parse-cache entries that can never hit again; the sweep
-    // keeps the cache footprint from growing with K. Bundles carry the
-    // proxy's own strings, so PARCEL loads leave no such entries of their
-    // own. Corpus artifacts survive (their owners still pin them), so
-    // warm-cache behavior is unchanged.
-    const std::size_t done = b + count;
-    if (done % kWave == 0 || done == admitted.size()) {
-      web::ParseCache::instance().sweep_transient();
     }
   }
   fold_handoffs(agg, out);

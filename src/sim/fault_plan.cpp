@@ -1,6 +1,8 @@
 #include "sim/fault_plan.hpp"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -27,7 +29,10 @@ std::uint64_t parse_seed(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
+  // strtoull accepts a leading sign ("-1" wraps to 2^64-1) and leading
+  // blanks; a seed is digits only.
+  if (errno != 0 || end == text.c_str() || *end != '\0' ||
+      std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
     bad("seed expects a non-negative integer, got '" + text + "'");
   }
   return v;
@@ -44,8 +49,19 @@ FaultWindow parse_window(const std::string& key, const std::string& text) {
   return FaultWindow{TimePoint::at_seconds(start), Duration::seconds(length)};
 }
 
+/// NaN passes every range comparison, so each number is checked for
+/// finiteness before its range.
+void require_finite(const char* what, double v) {
+  if (!std::isfinite(v)) {
+    bad(std::string(what) + " must be finite, got " + std::to_string(v));
+  }
+}
+
 void validate_windows(const char* what, const std::vector<FaultWindow>& ws) {
   for (const FaultWindow& w : ws) {
+    if (!std::isfinite(w.start.sec())) {
+      bad(std::string(what) + " window start must be finite");
+    }
     if (w.start < TimePoint::origin()) {
       bad(std::string(what) + " window start must be >= 0, got " +
           std::to_string(w.start.sec()) + "s");
@@ -79,6 +95,14 @@ bool FaultPlan::enabled() const {
 }
 
 void FaultPlan::validate() const {
+  require_finite("loss probability", loss_probability);
+  require_finite("server error probability", server_error_probability);
+  require_finite("collapse factor", collapse_factor);
+  require_finite("server stall extra", server_stall_extra.sec());
+  if (proxy_crash_at) require_finite("proxy crash time", proxy_crash_at->sec());
+  if (proxy_restart_after) {
+    require_finite("proxy restart delay", proxy_restart_after->sec());
+  }
   if (loss_probability < 0.0 || loss_probability > 1.0) {
     bad("loss probability must be in [0, 1], got " +
         std::to_string(loss_probability));

@@ -71,8 +71,9 @@ struct FaultPlan {
   /// substrate byte-identical to a build without the fault layer.
   [[nodiscard]] bool enabled() const;
 
-  /// Reject malformed plans (probabilities outside [0, 1], negative
-  /// durations, restart without crash) with a descriptive
+  /// Reject malformed plans (non-finite numbers other than an infinite
+  /// window length, probabilities outside [0, 1], negative durations,
+  /// restart without crash) with a descriptive
   /// std::invalid_argument. Called by Testbed and run_rounds.
   void validate() const;
 
@@ -86,7 +87,8 @@ struct FaultPlan {
   ///    sstall=0.5+2,sextra=1.5,crash=1.2,restart=4,seed=9"
   /// Windows use START+LENGTH in seconds and keys are repeatable for the
   /// window kinds. "off" (or empty) yields a disabled plan. Malformed
-  /// specs throw std::invalid_argument; the result is validate()d.
+  /// specs (including a signed seed) throw std::invalid_argument; the
+  /// result is validate()d.
   static FaultPlan parse(const std::string& spec);
 };
 

@@ -65,8 +65,3 @@
 #define PARCEL_ASSERT_CAPABILITY(x) \
   PARCEL_THREAD_ANNOTATION(assert_capability(x))
 #define PARCEL_RETURN_CAPABILITY(x) PARCEL_THREAD_ANNOTATION(lock_returned(x))
-
-// Escape hatch for code the analysis cannot express (e.g. locking all
-// shards of a striped table in a loop).  Every use should say why.
-#define PARCEL_NO_THREAD_SAFETY_ANALYSIS \
-  PARCEL_THREAD_ANNOTATION(no_thread_safety_analysis)

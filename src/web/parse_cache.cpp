@@ -1,8 +1,6 @@
 #include "web/parse_cache.hpp"
 
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "web/css.hpp"
 
@@ -59,15 +57,10 @@ std::shared_ptr<const T> ParseCache::lookup(
     slot = it->second;
   }
   // Parse outside the shard lock; call_once makes concurrent requesters
-  // for the *same* content wait for one scan instead of racing duplicates.
-  // The finished artifact is published under the shard mutex: concurrent
-  // requesters already synchronize through the once-flag, but
-  // sweep_transient() inspects artifact handles while holding every shard
-  // lock, so the store must happen under that lock too.
+  // for the *same* content wait for one scan instead of racing duplicates,
+  // and orders the store before every later read of the artifact.
   std::call_once(slot->once, [&] {
-    auto artifact = std::make_shared<const T>(scan(text));
-    util::MutexLock lock(shard.mutex);
-    slot->artifact = std::move(artifact);
+    slot->artifact = std::make_shared<const T>(scan(text));
   });
   if (inserted) {
     misses.fetch_add(1, std::memory_order_relaxed);
@@ -122,73 +115,6 @@ void ParseCache::clear() {
     shard.css.slots.clear();
     shard.js.slots.clear();
   }
-}
-
-std::size_t ParseCache::sweep_transient() {
-  // Entries sharing one backing string (a document and the inline
-  // <script> views keyed into it — possibly in different shards) hold
-  // that string's use count above 1 forever, so deadness is a property
-  // of the pin *group*, not of any single entry. All shard locks are
-  // taken (fixed array order; lookup() never nests shard locks, so this
-  // cannot deadlock), which freezes the tables: a group whose pin count
-  // is fully accounted for by its member entries has no outside owner,
-  // and no new outside reference can appear without an existing one.
-  std::vector<std::unique_lock<util::Mutex>> locks;
-  locks.reserve(kShards);
-  for (Shard& shard : shards_) {
-    locks.emplace_back(shard.mutex);
-  }
-
-  // Pass 1: per pinned string, count member entries and record whether
-  // any member is externally referenced (a concurrent lookup holds the
-  // slot; a live artifact still borrows views from the string).
-  struct Group {
-    long members = 0;
-    long pin_uses = 0;
-    bool external = false;
-  };
-  // parcel-lint: allow(unordered-iter) erase-only sweep; which entries die is order-independent and no simulated result observes the cache
-  std::unordered_map<const std::string*, Group> groups;
-  auto scan = [&groups](auto& table) {
-    // parcel-lint: allow(unordered-iter) count-only pass; group totals are iteration-order independent and no simulated result observes the cache
-    for (auto& entry : table.slots) {
-      const auto& slot = entry.second;
-      Group& g = groups[slot->pin.get()];
-      ++g.members;
-      g.pin_uses = slot->pin.use_count();
-      if (slot.use_count() != 1 || slot->artifact.use_count() > 1) {
-        g.external = true;
-      }
-    }
-  };
-  for (Shard& shard : shards_) {
-    scan(shard.html);
-    scan(shard.css);
-    scan(shard.js);
-  }
-
-  // Pass 2: erase every member of each dead group. Deadness was decided
-  // above — erasing members drops the pin count, so it must not be
-  // re-read here.
-  std::size_t dropped = 0;
-  auto sweep = [&groups, &dropped](auto& table) {
-    // parcel-lint: allow(unordered-iter) erase-only sweep; which entries die is order-independent and no simulated result observes the cache
-    for (auto it = table.slots.begin(); it != table.slots.end();) {
-      const Group& g = groups.at(it->second->pin.get());
-      if (!g.external && g.pin_uses == g.members) {
-        it = table.slots.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  };
-  for (Shard& shard : shards_) {
-    sweep(shard.html);
-    sweep(shard.css);
-    sweep(shard.js);
-  }
-  return dropped;
 }
 
 std::size_t ParseCache::size() const {

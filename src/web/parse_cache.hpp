@@ -19,6 +19,12 @@
 // keyed address can never be recycled for different bytes while the
 // entry exists.
 //
+// Lifetime. An entry lives until clear(). Loads only ever scan
+// corpus-owned strings (generator / replay store content, forwarded by
+// the origin; bundle parts are the proxy's own strings), so no entry can
+// die while its corpus lives, and the cache is bounded by the corpora a
+// process has scanned (DESIGN.md §12).
+//
 // Concurrency. A fixed array of shards, each a mutex-guarded map of
 // once-init slots: the first requester parses (outside the shard lock,
 // guarded by the slot's once_flag), every later requester — on any
@@ -94,26 +100,13 @@ class ParseCache {
 
   /// Drop every entry (and the content pins they hold). Outstanding
   /// artifact shared_ptrs stay valid — entries release, artifacts don't.
+  /// For a process that drops one corpus and builds another.
   void clear();
 
-  /// Drop dead entries: those where this cache holds the *only* reference
-  /// to the slot, the artifact, and the content pin. Such an entry can
-  /// never hit again — its backing string is unreachable to any future
-  /// caller, kept alive solely by the pin — so it is pure retained memory.
-  /// Transient content (a generated document whose owner was dropped)
-  /// lands here the moment its owner lets go; corpus content stays cached
-  /// because its generator/replay-store owner still pins it. Bundle parts
-  /// are the proxy's own strings (web/mhtml.hpp), so they are never
-  /// transient.
-  /// Releasing the pin may let the allocator recycle the keyed address,
-  /// which is safe exactly because the entry is erased in the same step: a
-  /// recycled address misses and re-inserts. Streaming fleet runs sweep
-  /// once per epoch to keep memory bounded in K (DESIGN.md §12). Returns
-  /// the number of entries dropped. Thread-safe; concurrent lookups hold
-  /// slot/pin references and are skipped.
-  /// Locks every shard through a std::unique_lock vector, a pattern the
-  /// static lock analysis cannot express — hence the opt-out.
-  std::size_t sweep_transient() PARCEL_NO_THREAD_SAFETY_ANALYSIS;
+  /// No-op that always returns 0. Entries live until clear(), so there
+  /// is nothing to sweep; perfbench/ is the only caller left, and a later
+  /// benchmark change deletes both its calls and this method.
+  std::size_t sweep_transient() { return 0; }
 
   /// Number of cached artifacts across all kinds (for tests/benches).
   [[nodiscard]] std::size_t size() const;

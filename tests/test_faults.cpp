@@ -3,6 +3,7 @@
 // degradation ladder, and determinism of faulted runs across jobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,6 +77,23 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(sim::FaultPlan::parse("bogus=1"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::parse("loss=abc"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::parse("loss"), std::invalid_argument);
+  // NaN slips past every range comparison; an infinite time or factor is
+  // not a plan either.
+  for (const char* spec :
+       {"loss=nan", "serror=nan", "cfactor=nan", "collapse=1+1,cfactor=nan",
+        "blackout=nan+1", "blackout=inf+1", "sstall=1+1,sextra=nan",
+        "sextra=nan", "crash=nan", "crash=inf", "crash=1,restart=nan",
+        "crash=1,restart=inf"}) {
+    EXPECT_THROW(sim::FaultPlan::parse(spec), std::invalid_argument) << spec;
+  }
+  // A seed is digits only: "-1" must not wrap to 2^64-1.
+  for (const char* spec : {"seed=-1", "seed=+1", "seed= 1", "seed="}) {
+    EXPECT_THROW(sim::FaultPlan::parse(spec), std::invalid_argument) << spec;
+  }
+  // validate() covers plans built in code, not just parsed specs.
+  sim::FaultPlan plan;
+  plan.loss_probability = std::nan("");
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
 TEST(FaultWindow, HalfOpenEdges) {

@@ -5,8 +5,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "net/url.hpp"
+#include "replay/replay_store.hpp"
 #include "web/css.hpp"
+#include "web/generator.hpp"
 #include "web/html.hpp"
 #include "web/js.hpp"
 #include "web/parse_cache.hpp"
@@ -136,53 +139,46 @@ TEST_F(ParseCacheTest, ClearReleasesEntriesButNotOutstandingArtifacts) {
   EXPECT_EQ((*refs)[0].target, "/bg.png");
 }
 
-TEST_F(ParseCacheTest, SweepDropsDeadEntriesAndKeepsOwnedOnes) {
-  auto corpus = shared("<img src=\"/corpus.png\">");  // we keep owning this
-  auto transient = shared("<img src=\"/transient.png\">");
-  ParseCache::instance().html(*corpus, corpus);
-  ParseCache::instance().html(*transient, transient);
-  ASSERT_EQ(ParseCache::instance().size(), 2u);
-  transient.reset();  // cache becomes the string's only owner: dead weight
-  EXPECT_EQ(ParseCache::instance().sweep_transient(), 1u);
-  EXPECT_EQ(ParseCache::instance().size(), 1u);
-  // The surviving corpus entry still hits.
-  ParseCache::instance().reset_stats();
-  ParseCache::instance().html(*corpus, corpus);
-  EXPECT_EQ(ParseCache::instance().stats().html_hits, 1u);
-}
-
-TEST_F(ParseCacheTest, SweepKeepsEntriesWhoseArtifactIsStillBorrowed) {
-  auto js = shared("fetch(\"/borrowed.json\");");
-  auto prog = ParseCache::instance().js(*js, js);
-  js.reset();
-  // The artifact borrows views from the pinned string; while we hold it,
-  // sweeping must not free the backing bytes.
-  EXPECT_EQ(ParseCache::instance().sweep_transient(), 0u);
-  ASSERT_EQ(prog->references.size(), 1u);
-  EXPECT_EQ(prog->references[0].target, "/borrowed.json");
-  prog.reset();
-  EXPECT_EQ(ParseCache::instance().sweep_transient(), 1u);
-  EXPECT_EQ(ParseCache::instance().size(), 0u);
-}
-
-TEST_F(ParseCacheTest, SweepTreatsDocumentAndInlineScriptsAsOneGroup) {
-  auto doc = shared(
-      "<script>fetch(\"/one.json\");</script>"
-      "<script>fetch(\"/two.json\");</script>");
-  {
-    auto tokens = ParseCache::instance().html(*doc, doc);
-    ParseCache::instance().js((*tokens)[0].script, doc);
-    ParseCache::instance().js((*tokens)[1].script, doc);
+TEST_F(ParseCacheTest, RepeatPassOverReplayedCorpusAddsOnlyHits) {
+  // Entries live until clear(): every string a load scans is owned by the
+  // corpus (or by the proxy's bundle parts), so a second pass over the
+  // same corpus finds every artifact already cached and inserts nothing.
+  replay::ReplayStore store;
+  std::vector<const WebPage*> pages;
+  for (std::uint64_t seed = 31; seed <= 32; ++seed) {
+    PageSpec spec;
+    spec.site = "cache" + std::to_string(seed) + ".example.com";
+    spec.object_count = 12;
+    spec.total_bytes = util::kib(160);
+    spec.seed = seed;
+    store.record(PageGenerator::generate(spec));
+    pages.push_back(store.find("http://" + spec.site + "/"));
+    ASSERT_NE(pages.back(), nullptr);
   }
-  ASSERT_EQ(ParseCache::instance().size(), 3u);
-  // The three entries pin the same string. While the document is owned
-  // outside the cache, the whole group must survive — the inline-script
-  // entries alone cannot justify freeing bytes the document entry keys.
-  EXPECT_EQ(ParseCache::instance().sweep_transient(), 0u);
-  doc.reset();
-  // Now the group is fully internal: all three go together.
-  EXPECT_EQ(ParseCache::instance().sweep_transient(), 3u);
-  EXPECT_EQ(ParseCache::instance().size(), 0u);
+  const core::Scheme schemes[] = {
+      core::Scheme::kDir,        core::Scheme::kHttpProxy,
+      core::Scheme::kSpdyProxy,  core::Scheme::kParcelInd,
+      core::Scheme::kParcelOnld, core::Scheme::kParcel512K,
+      core::Scheme::kParcel1M,   core::Scheme::kParcel2M,
+      core::Scheme::kCloudBrowser, core::Scheme::kParcelAdaptive};
+  auto pass = [&] {
+    for (core::Scheme scheme : schemes) {
+      for (const WebPage* page : pages) {
+        core::RunConfig cfg;
+        cfg.seed = 7;
+        EXPECT_TRUE(core::ExperimentRunner::run(scheme, *page, cfg).ok);
+      }
+    }
+  };
+  pass();
+  const std::size_t entries = ParseCache::instance().size();
+  const ParseCache::Stats first = ParseCache::instance().stats();
+  ASSERT_GT(entries, 0u);
+  pass();
+  const ParseCache::Stats second = ParseCache::instance().stats();
+  EXPECT_EQ(ParseCache::instance().size(), entries);
+  EXPECT_EQ(second.misses(), first.misses());
+  EXPECT_GT(second.hits(), first.hits());
 }
 
 TEST_F(ParseCacheTest, CssCommentPathReturnsViewsIntoOriginal) {
